@@ -163,6 +163,11 @@ enum class Counter : int {
   kServeDoomedEvicted,         ///< queued tickets evicted already-expired
   kServeWatchdogFires,         ///< fused calls cancelled by the watchdog
   kServeBreakerOpen,           ///< circuit-breaker closed -> open transitions
+  // Micro-kernel tile occupancy, read from each kernel call's plan (never
+  // the micro loop): live query rows over the mr-padded rows the 4th loop
+  // computes. live/padded near 1/mr means one-row calls wasting the tile.
+  kMicroRowsLive,              ///< query rows m, summed over kernel calls
+  kMicroRowsPadded,            ///< sum over mc-blocks of round_up(mb, mr)
   kNumCounters,
 };
 

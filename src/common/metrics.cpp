@@ -35,6 +35,7 @@ const char* const kCounterNames[kCounterCount] = {
     "serve_enqueued",          "serve_fused_calls",      "serve_fused_queries",
     "serve_cancelled",         "serve_expired",          "serve_shed_predictive",
     "serve_doomed_evicted",    "serve_watchdog_fires",   "serve_breaker_open",
+    "micro_rows_live",         "micro_rows_padded",
 };
 
 // Serving health gauge (metrics.hpp set_serve_health). One relaxed word:

@@ -202,8 +202,17 @@ struct KernelPlanT {
 };
 
 /// Record the governance counters (and flight-recorder events) a finished
-/// plan implies.
-void count_plan_events(const WorkspacePlan& ws, Variant requested) {
+/// plan implies, plus the call's micro-kernel tile occupancy: m live query
+/// rows against the mr-padded rows its mc-blocks compute.
+void count_plan_events(const WorkspacePlan& ws, Variant requested, int m,
+                       int mr) {
+  const std::size_t mc = static_cast<std::size_t>(ws.blocking.mc);
+  const std::size_t um = static_cast<std::size_t>(m);
+  const std::size_t tile = static_cast<std::size_t>(mr);
+  metrics::add_counter(metrics::Counter::kMicroRowsLive, um);
+  metrics::add_counter(
+      metrics::Counter::kMicroRowsPadded,
+      um / mc * round_up(mc, tile) + round_up(um % mc, tile));
   if (ws.retile_steps > 0) {
     metrics::add_counter(metrics::Counter::kWorkspaceRetiledCalls);
     metrics::add_counter(metrics::Counter::kWorkspaceRetileSteps,
@@ -240,7 +249,7 @@ Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
                          kp.threads, kp.needs_norms, kp.defer_possible,
                          sizeof(T), cap);
   if (!kp.ws.fits) return Status::kResourceExhausted;
-  count_plan_events(kp.ws, req_variant);
+  count_plan_events(kp.ws, req_variant, m, kp.mk.mr);
   kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
   return Status::kOk;
@@ -293,7 +302,7 @@ Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
                          kp.threads, kp.needs_norms, kp.defer_possible,
                          sizeof(T), cap, /*packed_refs=*/true);
   if (!kp.ws.fits) return Status::kResourceExhausted;
-  count_plan_events(kp.ws, req_variant);
+  count_plan_events(kp.ws, req_variant, m, kp.mk.mr);
   kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
   return Status::kOk;

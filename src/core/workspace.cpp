@@ -64,7 +64,9 @@ template void resolve_kernel_and_blocking<float>(SimdLevel, const KnnConfig&,
 
 int balanced_mc(int m, int mc, int mr, int threads) {
   assert(m >= 0 && mc > 0 && mr > 0 && threads >= 1);
-  if (threads <= 1) return mc;
+  // m == 0 has no 4th loop to balance (and would round the block target to
+  // zero below).
+  if (threads <= 1 || m == 0) return mc;
   const int blocks = static_cast<int>(ceil_div(m, mc));
   const int target = static_cast<int>(round_up(blocks, threads));
   int out = static_cast<int>(

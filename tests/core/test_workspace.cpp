@@ -44,6 +44,19 @@ TEST(WorkspacePlan, DegenerateShapesNeedNoWorkspace) {
   EXPECT_EQ(plan_knn_workspace<double>(128, 512, 0, 16, {}).total_bytes(), 0u);
 }
 
+// An explicit odd team: the m == 0 plan must not depend on OMP_NUM_THREADS
+// to stay clear of the round-to-threads arithmetic in balanced_mc.
+TEST(WorkspacePlan, EmptyQuerySetPlansAtAnyThreadCount) {
+  EXPECT_EQ(core::balanced_mc(0, 864, 16, 3), 864);
+  for (const int threads : {1, 2, 3}) {
+    KnnConfig cfg;
+    cfg.threads = threads;
+    EXPECT_EQ(plan_knn_workspace<double>(0, 512, 64, 16, cfg).total_bytes(),
+              0u)
+        << "threads " << threads;
+  }
+}
+
 TEST(WorkspacePlan, FloatPlanIsSmallerThanDouble) {
   const auto d64 = plan_knn_workspace<double>(128, 512, 64, 16, {});
   const auto f32 = plan_knn_workspace<float>(128, 512, 64, 16, {});

@@ -63,8 +63,10 @@ run(${PYTHON} ${CHECK_METRICS} --json ${WORK_DIR}/mp.json
 message(STATUS "${last_output}")
 
 # Serving leg: an open-loop trace through the async runtime must populate
-# both lane entry points and the queue/fusion counters — a burst at high
-# offered rate guarantees at least one coalesced dispatch.
+# both lane entry points, the queue/fusion counters and the tile-occupancy
+# pair (micro_rows_live / micro_rows_padded, recorded from every kernel
+# call's plan) — a burst at high offered rate guarantees at least one
+# coalesced dispatch.
 run(${GSKNN_CLI} serve-sim --queries 128 --rate 1000000 --n 2048
     --workers 1 --metrics=${WORK_DIR}/ms.json
     --metrics-prom=${WORK_DIR}/ms.prom)
@@ -72,7 +74,8 @@ run(${PYTHON} ${CHECK_METRICS} --json ${WORK_DIR}/ms.json
     --prom ${WORK_DIR}/ms.prom
     --require-entry serve_interactive --require-entry serve_bulk
     --require-counter serve_enqueued --require-counter serve_fused_calls
-    --require-counter serve_fused_queries)
+    --require-counter serve_fused_queries
+    --require-counter micro_rows_live --require-counter micro_rows_padded)
 message(STATUS "${last_output}")
 
 # Overload-protection leg: --chaos drives a deliberately slow worker past

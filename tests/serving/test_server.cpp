@@ -76,6 +76,13 @@ void expect_ticket_matches_cold(const Server& srv, TicketId t,
   }
 }
 
+/// Arm the fault hooks for one test body; disarm on every exit path so a
+/// failing ASSERT cannot leak a stalled worker into the next test.
+struct FaultGuard {
+  explicit FaultGuard(const fault::FaultConfig& fc) { fault::configure(fc); }
+  ~FaultGuard() { fault::reset(); }
+};
+
 TEST(Serving, SingleTicketBitwiseMatchesColdKernel) {
   const int d = 24, n = 300, k = 9;
   const PointTable X = make_uniform(d, n, 0x5E21);
@@ -247,18 +254,33 @@ TEST(Serving, GenerousBudgetStillCompletes) {
 }
 
 TEST(Serving, CancelQueuedTicketNeverYieldsPartialResult) {
-  // A slow first ticket keeps the single worker busy so later submissions
-  // sit in the queue long enough to cancel deterministically-in-practice.
+  // A stalled first dispatch keeps the single worker busy so later
+  // submissions sit in the queue long enough to cancel: the burst is only
+  // submitted once that dispatch has started (serve_fused_calls counts it
+  // before the injected 50 ms stall), so it cannot fuse into it.
   const int d = 48, n = 8192, k = 16;
   const PointTable X = make_uniform(d, n, 0xCA2CE1);
   ServerOptions sopt;
   sopt.workers = 1;
+  // The stall is not a timing limit under test; keep the watchdog out.
+  sopt.watchdog_floor = std::chrono::seconds(30);
   Server srv(X, sopt);
   const std::vector<int> ids = iota_ids(n - 16);
   ASSERT_EQ(srv.create_refs("main", ids), Status::kOk);
 
+  const bool metrics_were_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::reset();
+  fault::FaultConfig fc;
+  fc.serve_slow_us = 50000;
+  FaultGuard guard(fc);
   const TicketId busy = srv.submit("main", n - 1, k);
   ASSERT_NE(busy, 0u);
+  while (metrics::snapshot().counters[static_cast<int>(
+             metrics::Counter::kServeFusedCalls)] == 0) {
+    std::this_thread::yield();
+  }
+  metrics::set_enabled(metrics_were_enabled);
   std::vector<TicketId> queued;
   for (int i = 0; i < 16; ++i) {
     const TicketId t = srv.submit("main", n - 16 + i, k, lane_opt(Lane::kBulk));
@@ -493,12 +515,69 @@ TEST(Serving, CApiRoundTripMatchesSearch) {
 
 // ---- overload protection (docs/SERVING.md "Overload & degradation") ------
 
-/// Arm the fault hooks for one test body; disarm on every exit path so a
-/// failing ASSERT cannot leak a stalled worker into the next test.
-struct FaultGuard {
-  explicit FaultGuard(const fault::FaultConfig& fc) { fault::configure(fc); }
-  ~FaultGuard() { fault::reset(); }
-};
+// One fused group is one m-row warm knn_kernel call: the kernel entry point
+// sees exactly one call per dispatch (not one per member), its m-shape
+// histogram holds multi-row calls, and every member row still matches the
+// cold one-query kernel bitwise — also when kernel_threads split the call's
+// 4th loop into several mc-blocks.
+TEST(Serving, FusedGroupIsOneKernelCall) {
+  namespace m = metrics;
+  const int d = 32, n = 2048, k = 12, burst = 40;
+  const PointTable X = make_uniform(d, n, 0xF05E);
+  const std::vector<int> ids = iota_ids(n - 64);
+  m::set_enabled(true);
+  for (const int kernel_threads : {1, 3}) {
+    SCOPED_TRACE(kernel_threads);
+    m::reset();
+    ServerOptions sopt;
+    sopt.workers = 1;
+    sopt.kernel_threads = kernel_threads;
+    // The injected stall before every dispatch (not a timing limit under
+    // test) must not trip the watchdog, even on a sanitizer run.
+    sopt.watchdog_floor = std::chrono::seconds(30);
+    Server srv(X, sopt);
+    ASSERT_EQ(srv.create_refs("main", ids), Status::kOk);
+    // Each dispatch stalls 50 ms first, so the burst queues up behind the
+    // first one and the next admission coalesces it.
+    fault::FaultConfig fc;
+    fc.serve_slow_us = 50000;
+    FaultGuard guard(fc);
+    std::vector<TicketId> tickets;
+    for (int i = 0; i < burst; ++i) {
+      const TicketId t =
+          srv.submit("main", n - 64 + i, k, lane_opt(Lane::kBulk));
+      ASSERT_NE(t, 0u);
+      tickets.push_back(t);
+    }
+    for (const TicketId t : tickets) ASSERT_EQ(srv.wait(t), Status::kOk);
+
+    // Snapshot before the cold oracle below adds its own kernel calls.
+    const m::MetricsSnapshot snap = m::snapshot();
+    const auto counter = [&](m::Counter c) {
+      return snap.counters[static_cast<int>(c)];
+    };
+    const Server::Stats st = srv.stats();
+    EXPECT_EQ(st.fused_queries, static_cast<std::uint64_t>(burst));
+    EXPECT_GT(st.fused_queries, st.fused_calls);
+    EXPECT_EQ(counter(m::Counter::kServeFusedCalls), st.fused_calls);
+    EXPECT_EQ(snap.calls_total(m::EntryPoint::kKernelF64), st.fused_calls);
+    EXPECT_EQ(snap.calls_total(m::EntryPoint::kBatch), 0u);
+    std::uint64_t multi_row_calls = 0;
+    for (int b = m::bucket_index(2); b < m::kHistBuckets; ++b) {
+      multi_row_calls += snap.shape[0][b];
+    }
+    EXPECT_GE(multi_row_calls, 1u);
+    // Tile occupancy: the live rows are exactly the fused members.
+    EXPECT_EQ(counter(m::Counter::kMicroRowsLive), st.fused_queries);
+    EXPECT_GE(counter(m::Counter::kMicroRowsPadded), st.fused_queries);
+    for (int i = 0; i < burst; ++i) {
+      expect_ticket_matches_cold(srv, tickets[static_cast<std::size_t>(i)],
+                                 X, n - 64 + i, ids, k);
+    }
+  }
+  m::reset();
+  m::set_enabled(false);
+}
 
 TEST(Serving, WatchdogCancelsStuckWorkerAndRetryCapFails) {
   const PointTable X = make_uniform(16, 512, 0x7D06);
@@ -615,6 +694,11 @@ TEST(Serving, StatsSnapshotStaysConsistentUnderConcurrentLoad) {
       if (th.joinable()) th.join();
     }
   } join_guard{stop, reader};
+  // A fused drain can finish within a few milliseconds — before the reader
+  // thread is even scheduled — so let it take one snapshot before load.
+  while (snapshots.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   std::vector<TicketId> ts;
   for (int i = 0; i < 300; ++i) {

@@ -39,6 +39,7 @@ COUNTERS = [
     "serve_enqueued", "serve_fused_calls", "serve_fused_queries",
     "serve_cancelled", "serve_expired", "serve_shed_predictive",
     "serve_doomed_evicted", "serve_watchdog_fires", "serve_breaker_open",
+    "micro_rows_live", "micro_rows_padded",
 ]
 SHAPE_DIMS = ["m", "n", "d", "k"]
 HIST_BUCKETS = 64
@@ -187,6 +188,10 @@ def check_json(path, require_entries, require_drift, require_counters=()):
         fail(f"counters keys {sorted(counters or {})} != {sorted(COUNTERS)}")
     if not all(isinstance(v, int) and v >= 0 for v in counters.values()):
         fail("counter values must be non-negative integers")
+    # Tile occupancy: every live query row sits in one mr-padded tile row.
+    if counters["micro_rows_live"] > counters["micro_rows_padded"]:
+        fail(f"micro_rows_live {counters['micro_rows_live']} > "
+             f"micro_rows_padded {counters['micro_rows_padded']}")
 
     # Serving health gauge (docs/SERVING.md "Overload & degradation"):
     # 0 = healthy, 1 = degraded, 2 = unhealthy.
