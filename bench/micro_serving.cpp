@@ -70,6 +70,7 @@ int main() {
     std::vector<serving::TicketId> tickets;
     tickets.reserve(static_cast<std::size_t>(queries));
     WallTimer wt;
+    double due = 0.0;  // absolute send time of the next ticket, in seconds
     for (int i = 0; i < queries; ++i) {
       serving::SubmitOptions so;
       so.lane = (i % 2) != 0 ? serving::Lane::kBulk
@@ -80,7 +81,15 @@ int main() {
         return 1;
       }
       tickets.push_back(t);
-      std::this_thread::sleep_for(std::chrono::duration<double>(gap(rng)));
+      // Open loop on absolute due times: sleep only while the next send is
+      // still ahead. A sub-microsecond sleep_for costs tens of microseconds
+      // of scheduler latency, which would cap the offered rate far below
+      // the 2e5 and 2e6 legs; a generator behind schedule sends at once.
+      due += gap(rng);
+      const double ahead = due - wt.seconds();
+      if (ahead > 0.0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
+      }
     }
     for (const serving::TicketId t : tickets) {
       if (srv.wait(t) != Status::kOk) {

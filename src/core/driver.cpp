@@ -49,6 +49,7 @@
 #include "gsknn/core/packed_refs.hpp"
 #include "gsknn/core/workspace.hpp"
 #include "gsknn/model/perf_model.hpp"
+#include "gsknn/select/batch_select.hpp"
 #include "micro.hpp"
 #include "pack.hpp"
 
@@ -137,6 +138,29 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
   }
 }
 
+/// row_select for a Var#5/6 row with batch scratch (`sd`/`sid`,
+/// heap::batch_scratch_len(len, k) each; planned only for rows without
+/// dedup): heap::batch_select leaves the same sorted row, counting the
+/// candidates that passed the root test as pushes.
+template <typename T>
+void row_select_batched(const T* GSKNN_RESTRICT cand,
+                        const int* GSKNN_RESTRICT ids, int len, T* hd, int* hi,
+                        int k, HeapArity arity, T* sd, int* sid,
+                        telemetry::ThreadCounters* tc) {
+  [[maybe_unused]] const int pushed =
+      heap::batch_select(cand, ids, len, hd, hi, k, arity, sd, sid);
+  if constexpr (telemetry::kCountersEnabled) {
+    if (tc != nullptr) {
+      tc->add(telemetry::Counter::kCandidates,
+              static_cast<std::uint64_t>(len));
+      tc->add(telemetry::Counter::kHeapPushes,
+              static_cast<std::uint64_t>(pushed));
+      tc->add(telemetry::Counter::kRootRejects,
+              static_cast<std::uint64_t>(len - pushed));
+    }
+  }
+}
+
 /// The loop number a Variant names (telemetry metadata).
 int variant_number(Variant v) {
   switch (v) {
@@ -191,6 +215,7 @@ Status degenerate_d0(const int* rid, int n, int m, NeighborTableT<T>& result,
 /// Resolved plan for one kernel invocation.
 template <typename T>
 struct KernelPlanT {
+  Variant requested = Variant::kVar1;  ///< resolved before any demotion
   Variant variant = Variant::kVar1;
   BlockingParams bp;       ///< balanced + retiled blocking
   MicroKernelT<T> mk;      ///< selected micro-kernel (fn, mr, nr)
@@ -245,11 +270,11 @@ Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();
+  kp.requested = req_variant;
   kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
                          kp.threads, kp.needs_norms, kp.defer_possible,
-                         sizeof(T), cap);
+                         batch_select_k(k, cfg), sizeof(T), cap);
   if (!kp.ws.fits) return Status::kResourceExhausted;
-  count_plan_events(kp.ws, req_variant, m, kp.mk.mr);
   kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
   return Status::kOk;
@@ -298,11 +323,12 @@ Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();
+  kp.requested = req_variant;
   kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
                          kp.threads, kp.needs_norms, kp.defer_possible,
-                         sizeof(T), cap, /*packed_refs=*/true);
+                         batch_select_k(k, cfg), sizeof(T), cap,
+                         /*packed_refs=*/true);
   if (!kp.ws.fits) return Status::kResourceExhausted;
-  count_plan_events(kp.ws, req_variant, m, kp.mk.mr);
   kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
   return Status::kOk;
@@ -563,6 +589,73 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     assert(celems <= std::numeric_limits<std::size_t>::max() / sizeof(T));
     cbuf = sws.alloc<T>(static_cast<std::size_t>(celems));
   }
+
+  // The Var#5/6 selection region: every query row offers the `len` finished
+  // distances at the head of its cbuf row (ids `cids`) to its heap. Each
+  // team thread rewinds its own arena — the 4th loop is done with its Qc
+  // panel — for the batched-selection scratch the plan sized; should the
+  // insurance reserve fail, its rows fall back to per-candidate selection,
+  // which needs none. `trace_col` tags the trace span (jc, or -1).
+  const auto select_region = [&](const int* cids, int len, int trace_col) {
+#if defined(GSKNN_HAVE_OPENMP)
+#pragma omp parallel num_threads(threads)
+#endif
+    {
+      const int tid = thread_id();
+      telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
+      WallTimer sel_timer;
+      telemetry::PmuCounts sc0;
+      std::uint64_t ts0 = 0;
+      if (prof) sel_timer.start();
+      if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
+      if (trace != nullptr) ts0 = telemetry::trace_now();
+      T* sd = nullptr;
+      int* sid = nullptr;
+      if (plan.batch_select) {
+        WorkspaceArena& ws = thread_arena();
+        bool reserved = true;
+        if (ws.capacity() < plan.per_thread_bytes) {
+          try {
+            ws.reserve(plan.per_thread_bytes);
+          } catch (const std::bad_alloc&) {
+            reserved = false;
+          }
+        }
+        if (reserved) {
+          ws.rewind();
+          const std::size_t sl = heap::batch_scratch_len(len, k);
+          sd = ws.alloc<T>(sl);
+          sid = ws.alloc<int>(sl);
+        }
+      }
+#if defined(GSKNN_HAVE_OPENMP)
+#pragma omp for schedule(static) nowait
+#endif
+      for (int i = 0; i < m; ++i) {
+        const int row = heap_row(i);
+        const T* const cand = cbuf + static_cast<long>(i) * ld;
+        if (sd != nullptr) {
+          row_select_batched(cand, cids, len, result.row_dists(row),
+                             result.row_ids(row), k, arity, sd, sid, tc);
+        } else {
+          row_select(cand, cids, len, result.row_dists(row),
+                     result.row_ids(row), result.row_idset(row), k, stride,
+                     arity, cfg.dedup, tc);
+        }
+      }
+      if (trace != nullptr) {
+        trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
+                      -1, trace_col);
+      }
+      if (pmu_on) {
+        telemetry::PmuCounts sc1;
+        if (telemetry::PmuGroup::this_thread().read(sc1)) {
+          tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
+        }
+      }
+      if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
+    }
+  };
 
   for (int jc = 0; jc < n; jc += nc) {  // ---- 6th loop ----
     const int nb = (n - jc < nc) ? n - jc : nc;
@@ -883,39 +976,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       // once before the region, never inside it, so a stop can't tear it.
       if (governed && stop.load(std::memory_order_relaxed) == 0) poll_stop();
       if (stop.load(std::memory_order_relaxed) == 0) {
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-      {
-        const int tid = thread_id();
-        telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-        WallTimer sel_timer;
-        telemetry::PmuCounts sc0;
-        std::uint64_t ts0 = 0;
-        if (prof) sel_timer.start();
-        if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-        if (trace != nullptr) ts0 = telemetry::trace_now();
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-        for (int i = 0; i < m; ++i) {
-          const int row = heap_row(i);
-          row_select(cbuf + static_cast<long>(i) * ld, rid + jc,
-                     nb, result.row_dists(row), result.row_ids(row),
-                     result.row_idset(row), k, stride, arity, cfg.dedup, tc);
-        }
-        if (trace != nullptr) {
-          trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
-                        -1, jc);
-        }
-        if (pmu_on) {
-          telemetry::PmuCounts sc1;
-          if (telemetry::PmuGroup::this_thread().read(sc1)) {
-            tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
-          }
-        }
-        if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
-      }
+        select_region(rid + jc, nb, jc);
       }
     }
     if (stop.load(std::memory_order_relaxed) != 0) break;
@@ -923,41 +984,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
 
   if (variant == Variant::kVar6 && stop.load(std::memory_order_relaxed) == 0) {
     if (governed) poll_stop();
-    if (stop.load(std::memory_order_relaxed) == 0) {
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-    {
-      const int tid = thread_id();
-      telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-      WallTimer sel_timer;
-      telemetry::PmuCounts sc0;
-      std::uint64_t ts0 = 0;
-      if (prof) sel_timer.start();
-      if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-      if (trace != nullptr) ts0 = telemetry::trace_now();
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-      for (int i = 0; i < m; ++i) {
-        const int row = heap_row(i);
-        row_select(cbuf + static_cast<long>(i) * ld, rid, n,
-                   result.row_dists(row), result.row_ids(row),
-                   result.row_idset(row), k, stride, arity, cfg.dedup, tc);
-      }
-      if (trace != nullptr) {
-        trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
-                      -1, -1);
-      }
-      if (pmu_on) {
-        telemetry::PmuCounts sc1;
-        if (telemetry::PmuGroup::this_thread().read(sc1)) {
-          tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
-        }
-      }
-      if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
-    }
-    }
+    if (stop.load(std::memory_order_relaxed) == 0) select_region(rid, n, -1);
   }
 
   const Status outcome =
@@ -1039,6 +1066,7 @@ Status knn_kernel_impl(const PointTableT<T>& X, std::span<const int> qidx,
   KernelPlanT<T> kp;
   const Status planned = plan_kernel<T>(m, n, d, k, cfg, kp);
   if (planned != Status::kOk) return planned;
+  count_plan_events(kp.ws, kp.requested, m, kp.mk.mr);
 
   std::vector<unsigned char> rbad;
   bool any_bad_r = false;
@@ -1102,6 +1130,7 @@ Status packed_kernel_impl(PackedRefsT<T>& refs, std::span<const int> qidx,
   KernelPlanT<T> kp;
   const Status planned = plan_kernel_packed<T>(refs, m, n, d, k, cfg, kp);
   if (planned != Status::kOk) return planned;
+  count_plan_events(kp.ws, kp.requested, m, kp.mk.mr);
 
   CachedRefPanels<T> rpanels;
   rpanels.cache = &refs;
@@ -1227,6 +1256,30 @@ Status packed_kernel_with_metrics(PackedRefsT<T>& refs,
 
 }  // namespace
 }  // namespace core
+
+template <typename T>
+WorkspacePlan plan_knn_workspace(const PackedRefsT<T>& refs, int m, int k,
+                                 const KnnConfig& cfg) {
+  if (!refs.built()) {
+    throw StatusError(Status::kInvalidArgument,
+                      "gsknn: PackedRefs::build() has not succeeded");
+  }
+  const int n = refs.size();
+  const int d = refs.table()->dim();
+  // The kernel returns before planning on these shapes: nothing to carve.
+  if (m <= 0 || n <= 0 || d <= 0) return WorkspacePlan{};
+  core::KernelPlanT<T> kp;
+  const Status s = core::plan_kernel_packed<T>(refs, m, n, d, k, cfg, kp);
+  if (s == Status::kUnsupported) {
+    throw StatusError(s, "gsknn: the cache cannot serve this norm or blocking");
+  }
+  return kp.ws;
+}
+
+template WorkspacePlan plan_knn_workspace<double>(const PackedRefs&, int, int,
+                                                  const KnnConfig&);
+template WorkspacePlan plan_knn_workspace<float>(const PackedRefsF&, int, int,
+                                                 const KnnConfig&);
 
 Variant resolve_variant(int m, int n, int d, int k, const KnnConfig& cfg) {
   if (cfg.variant != Variant::kAuto) return cfg.variant;

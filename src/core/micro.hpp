@@ -49,6 +49,13 @@ inline constexpr int kCandBufLen = 16;
 /// (deferral ~8% slower) and k = 512 (~10% faster).
 inline constexpr int kDeferMinK = 256;
 
+/// Smallest k for which Var#5/6 rows select with heap::batch_select instead
+/// of offering each candidate to the heap. Below it a fresh n = 8192 row is
+/// cheaper to sift: sequential over batched time measured 0.74–0.76x at
+/// k = 64 and 1.16–1.52x at k = 128 (EXPERIMENTS.md "Batched selection for
+/// materialized rows").
+inline constexpr int kBatchSelectMinK = 128;
+
 /// Selection context for the fused (Var#1) path: per-valid-row heap
 /// pointers plus candidate metadata.
 template <typename T>
@@ -285,5 +292,11 @@ void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
 /// scalar kernel always does). Shared by the driver and the planner: the
 /// knob changes the per-thread footprint.
 bool defer_enabled();
+
+/// The k a call's Var#5/6 rows select with in batches (k >= kBatchSelectMinK
+/// without dedup: dedup rows keep first-arrival order, which batching would
+/// lose), or 0 when they stay on the per-candidate path. Shared by the driver
+/// and the planners: the batch scratch changes the per-thread footprint.
+int batch_select_k(int k, const KnnConfig& cfg);
 
 }  // namespace gsknn::core

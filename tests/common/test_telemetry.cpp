@@ -380,6 +380,36 @@ TEST(TelemetryHotPaths, DeferredSelectionCountersExactFloat) {
   expect_exact_counters(prof, m, n);
 }
 
+// Var#5/6 rows above the batched-selection crossover (k >= 128) pick their
+// winners with heap::batch_select: the survivors of the root test count as
+// pushes, the rest as rejects, so the invariant stays exact. The float case
+// pins nc = 256, so Var#5's later panels meet a filled heap.
+TEST(TelemetryHotPaths, BatchedSelectionCountersExact) {
+  run_and_audit(40, 700, 16, 256, Variant::kVar5);
+  run_and_audit(40, 700, 16, 256, Variant::kVar6);
+}
+
+TEST(TelemetryHotPaths, BatchedSelectionCountersExactFloat) {
+  const int m = 40, n = 700, d = 16, k = 256;
+  const PointTableF X = to_float(make_uniform(d, m + n, 0xA0D21));
+  const auto q = iota_ids(m);
+  const auto r = iota_ids(n, m);
+  for (const Variant v : {Variant::kVar5, Variant::kVar6}) {
+    KernelProfile prof;
+    KnnConfig cfg;
+    cfg.variant = v;
+    cfg.threads = 1;
+    cfg.profile = &prof;
+    if (v == Variant::kVar5) {
+      cfg.blocking = BlockingParams{};  // the 8x4 tile resolves at every level
+      cfg.blocking->nc = 256;           // three reference panels
+    }
+    NeighborTableF t(m, k);
+    knn_kernel(X, q, r, t, cfg);
+    expect_exact_counters(prof, m, n);
+  }
+}
+
 TEST(Telemetry, InactiveRecorderIsNoop) {
   telemetry::Recorder rec(nullptr, 8);
   EXPECT_FALSE(rec.active());

@@ -27,7 +27,16 @@
 //      bitwise-identical to a cold synchronous kernel call over one of the
 //      clean reference generations (never a mixed-epoch hybrid), reports
 //      kCancelled only for tickets this harness cancelled, and returns no
-//      result for non-kOk tickets.
+//      result for non-kOk tickets;
+//   8. large-k trials (k above the batched-selection crossover, n from k/2
+//      to 8k, Var#5 also over several small reference panels) in every
+//      adversarial mode: Var#5/6 rows, which pick their winners with
+//      heap::batch_select, match the per-candidate Var#1 rows bitwise in
+//      f64 and f32, and the anchor matches the oracle;
+//   9. the public planners — plan_knn_workspace for a cold call and for a
+//      warm call over a PackedRefs cache — equal the footprint the driver
+//      reports for the same call at threads 1, 2 and 3, on every trial
+//      shape including m, n or d = 0.
 //
 // Runs for --seconds wall time (default 20) from --seed; on failure prints
 // the trial's full repro parameters and exits nonzero.
@@ -45,6 +54,7 @@
 #include "gsknn/common/rng.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/core/packed_refs.hpp"
+#include "gsknn/core/workspace.hpp"
 #include "gsknn/data/point_table.hpp"
 #include "gsknn/serving/server.hpp"
 
@@ -220,7 +230,7 @@ template <typename T>
 std::vector<std::vector<std::pair<T, int>>> run_kernel(
     const gsknn::PointTableT<T>& X, const std::vector<int>& q,
     const std::vector<int>& r, const Trial& t, Variant v, int threads,
-    HeapArity arity) {
+    HeapArity arity, int nc = 0) {
   gsknn::NeighborTableT<T> res(t.m, t.k, arity);
   if (t.dedup) res.enable_dedup_index();
   KnnConfig cfg;
@@ -229,6 +239,10 @@ std::vector<std::vector<std::pair<T, int>>> run_kernel(
   cfg.variant = v;
   cfg.threads = threads;
   cfg.dedup = t.dedup;
+  if (nc > 0) {
+    cfg.blocking = gsknn::BlockingParams{};  // 8x4 resolves at every level
+    cfg.blocking->nc = nc;
+  }
   knn_kernel(X, q, r, res, cfg);
   return collect_rows(res, t.m);
 }
@@ -716,25 +730,28 @@ bool check_serving(gsknn::Xoshiro256& rng) {
   return true;
 }
 
-bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
+/// The trial's point pool and index lists, with the mode's adversarial
+/// values planted.
+void build_trial_data(const Trial& t, gsknn::Xoshiro256& rng, PointTable& X,
+                      std::vector<int>& q, std::vector<int>& r) {
   // Build the point pool. The coordinate magnitude is capped so that
   // squared norms stay far from the f64 overflow edge and (since the same
   // trial re-runs in f32) the f32 run sees representable values.
   const int npts = t.m + t.n + 8;
-  PointTable X(t.d, npts);
+  X = PointTable(t.d, npts);
   for (int i = 0; i < npts; ++i) {
     double* col = t.d > 0 ? X.col(i) : nullptr;
-    for (int r = 0; r < t.d; ++r) {
+    for (int c = 0; c < t.d; ++c) {
       if (t.mode == Mode::kTies || t.mode == Mode::kMixed) {
-        col[r] = static_cast<double>(rng.below(3)) * t.scale;
+        col[c] = static_cast<double>(rng.below(3)) * t.scale;
       } else {
-        col[r] = rng.uniform(-t.scale, t.scale);
+        col[c] = rng.uniform(-t.scale, t.scale);
       }
     }
   }
   if (t.mode == Mode::kZeros || t.mode == Mode::kMixed) {
     for (int i = 0; i < npts; i += 5) {
-      for (int r = 0; r < t.d; ++r) X.col(i)[r] = 0.0;
+      for (int c = 0; c < t.d; ++c) X.col(i)[c] = 0.0;
     }
   }
   if (t.mode == Mode::kNaN || t.mode == Mode::kMixed) {
@@ -756,15 +773,101 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
   }
   X.compute_norms();
 
-  std::vector<int> q(static_cast<std::size_t>(t.m));
+  q.assign(static_cast<std::size_t>(t.m), 0);
   for (auto& v : q) v = static_cast<int>(rng.below(static_cast<std::uint64_t>(npts)));
-  std::vector<int> r(static_cast<std::size_t>(t.n));
+  r.assign(static_cast<std::size_t>(t.n), 0);
   for (auto& v : r) v = static_cast<int>(rng.below(static_cast<std::uint64_t>(npts)));
   if ((t.mode == Mode::kDupRefs || t.mode == Mode::kMixed) && t.n > 1) {
     for (int j = 1; j < t.n; j += 3) {
       r[static_cast<std::size_t>(j)] = r[static_cast<std::size_t>(j - 1)];
     }
   }
+}
+
+/// Round 9: the public planners against the footprint the driver reports
+/// (KernelProfile::workspace_bytes; 0 when the call returns before
+/// planning), cold and warm, at threads 1, 2 and 3.
+bool check_planners(const PointTable& X, const std::vector<int>& q,
+                    const std::vector<int>& r, const Trial& t,
+                    gsknn::Xoshiro256& rng) {
+  gsknn::PackedRefs::Options opt;
+  opt.norm = t.norm;
+  gsknn::PackedRefs refs;
+  if (refs.build(X, r, opt) != Status::kOk) {
+    std::fprintf(stderr, "planner: cache build failed\n");
+    return false;
+  }
+  for (const int threads : {1, 2, 3}) {
+    KnnConfig cfg;
+    cfg.norm = t.norm;
+    cfg.p = t.p;
+    cfg.dedup = t.dedup;
+    cfg.threads = threads;
+    cfg.variant = kAllVariants[rng.below(5)];
+    for (const bool warm : {false, true}) {
+      const gsknn::WorkspacePlan plan =
+          warm ? gsknn::plan_knn_workspace(refs, t.m, t.k, cfg)
+               : gsknn::plan_knn_workspace<double>(t.m, t.n, t.d, t.k, cfg);
+      gsknn::telemetry::KernelProfile prof;
+      KnnConfig pcfg = cfg;
+      pcfg.profile = &prof;
+      NeighborTable res(t.m, t.k);
+      if (t.dedup) res.enable_dedup_index();
+      if (warm) {
+        knn_kernel(refs, q, res, pcfg);
+      } else {
+        knn_kernel(X, q, r, res, pcfg);
+      }
+      if (plan.total_bytes() != prof.workspace_bytes) {
+        std::fprintf(stderr,
+                     "planner: %s plan %zu bytes, driver %zu (threads %d "
+                     "variant %d)\n",
+                     warm ? "warm" : "cold", plan.total_bytes(),
+                     prof.workspace_bytes, threads,
+                     static_cast<int>(cfg.variant));
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Round 8: a large-k trial. Var#5 runs twice, once over panels of about a
+/// third of n, so later panels meet filled rows.
+bool run_large_k_trial(const Trial& t, gsknn::Xoshiro256& rng) {
+  PointTable X;
+  std::vector<int> q;
+  std::vector<int> r;
+  build_trial_data(t, rng, X, q, r);
+  const int nc = std::max(4, (t.n / 3 + 3) / 4 * 4);
+  const gsknn::PointTableF Xf = gsknn::to_float(X);
+  const auto anchor =
+      run_kernel(X, q, r, t, Variant::kVar1, 1, HeapArity::kBinary);
+  const auto anchor_f =
+      run_kernel(Xf, q, r, t, Variant::kVar1, 1, HeapArity::kBinary);
+  for (const Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
+    for (const int threads : {1, 3}) {
+      for (const HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
+        if (run_kernel(X, q, r, t, v, threads, arity) != anchor ||
+            run_kernel(Xf, q, r, t, v, threads, arity) != anchor_f ||
+            (v == Variant::kVar5 &&
+             run_kernel(X, q, r, t, v, threads, arity, nc) != anchor)) {
+          std::fprintf(stderr,
+                       "large-k divergence: variant %d threads %d arity %d\n",
+                       static_cast<int>(v), threads, static_cast<int>(arity));
+          return false;
+        }
+      }
+    }
+  }
+  return check_against_oracle(anchor, X, q, r, t, "large-k kernel");
+}
+
+bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
+  PointTable X;
+  std::vector<int> q;
+  std::vector<int> r;
+  build_trial_data(t, rng, X, q, r);
 
   // f64: bitwise identity of every variant × thread count × arity.
   const auto anchor =
@@ -852,7 +955,7 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
 
   // Packed-refs differential round over the same trial shape.
   if (!check_packed(X, q, r, t, rng)) return false;
-  return true;
+  return check_planners(X, q, r, t, rng);
 }
 
 }  // namespace
@@ -875,6 +978,7 @@ int main(int argc, char** argv) {
   gsknn::Xoshiro256 rng(seed);
   const auto t0 = std::chrono::steady_clock::now();
   long trials = 0;
+  long large_k_trials = 0;
   long mode_counts[static_cast<int>(Mode::kModeCount)] = {};
 
   while (true) {
@@ -914,6 +1018,31 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    // Large-k round: k from the batched-selection crossover (128) to 384,
+    // n from k/2 to 8k, over the trial's mode, norm and scale.
+    if (trials % 8 == 0) {
+      Trial big = t;
+      big.k = 128 + static_cast<int>(rng.below(257));
+      big.n = big.k / 2 +
+              static_cast<int>(rng.below(
+                  static_cast<std::uint64_t>(8 * big.k - big.k / 2 + 1)));
+      big.m = 1 + static_cast<int>(rng.below(8));
+      big.d = 1 + static_cast<int>(rng.below(12));
+      big.dedup = (rng.below(2) != 0u);
+      ++large_k_trials;
+      try {
+        if (!run_large_k_trial(big, rng)) {
+          std::fprintf(stderr, "fuzz_diff FAILURE in large-k round\n");
+          print_repro(big);
+          return 1;
+        }
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "large-k round exception: %s\n", e.what());
+        print_repro(big);
+        return 1;
+      }
+    }
+
     // The serving round spins up worker threads, so it interleaves at a
     // coarser cadence than the in-process rounds.
     if (trials % 16 == 0) {
@@ -947,8 +1076,9 @@ int main(int argc, char** argv) {
     ++trials;
   }
 
-  std::printf("fuzz_diff: %ld trials OK in %.1fs (seed=0x%llx)\n", trials,
-              seconds, static_cast<unsigned long long>(seed));
+  std::printf("fuzz_diff: %ld trials (%ld large-k) OK in %.1fs (seed=0x%llx)\n",
+              trials, large_k_trials, seconds,
+              static_cast<unsigned long long>(seed));
   for (int i = 0; i < static_cast<int>(Mode::kModeCount); ++i) {
     std::printf("  %-8s %ld\n", mode_name(static_cast<Mode>(i)),
                 mode_counts[i]);
