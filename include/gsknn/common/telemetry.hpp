@@ -69,7 +69,11 @@ const char* phase_name(Phase p);
 /// Work counters (exact tallies, GSKNN_PROFILE builds only).
 enum class Counter : int {
   kCandidates = 0,  ///< candidate (query, reference) pairs seen by selection
-  kHeapPushes,      ///< accepted replace-root heap insertions
+  kHeapPushes,      ///< candidates that passed the heap-root test: one
+                    ///< replace-root insertion each on per-candidate rows;
+                    ///< on batched Var#5/6 rows (heap::batch_select) the
+                    ///< survivors of the root at the batch's start, which
+                    ///< then enter one exact selection
   kRootRejects,     ///< candidates rejected (heap-root test or dedup)
   kTiles,           ///< micro-kernel tile invocations
   kBytesPackedQ,    ///< bytes written into packed Qc panels (+ norms)
