@@ -23,6 +23,10 @@
 //     -DGSKNN_PROFILE=ON). kCountersEnabled reports the build mode;
 //     KernelProfile::counters_enabled reports it per profile.
 //
+// One probe: every timed region of every driver is a PhaseScope, which
+// brackets the region with a wall-clock pair, a PMU snapshot pair and a
+// trace span, all under the same Phase and panel tags.
+//
 // Aggregation model: drivers record into per-thread, cache-line-padded
 // ThreadCounters slots (no sharing, no atomics). Recorder::aggregate() then
 // reduces them: phase_seconds[] takes the MAX across threads (a critical-path
@@ -31,6 +35,7 @@
 // (total CPU spent), and counters the SUM (they are exact work tallies).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -193,13 +198,16 @@ struct KernelProfile {
   std::string format_table() const;
 };
 
-/// Driver-side recording helper. Inactive (null sink) recorders make every
-/// operation a no-op so the hot paths stay branch-cheap:
+class TraceSink;  // gsknn/common/trace.hpp
+
+/// Driver-side recording helper: per-thread slots plus the call's wall
+/// clock. An inactive (null sink) recorder allocates nothing, reads no clock
+/// and hands out null slots, which make every PhaseScope on them inactive:
 ///
 ///   Recorder rec(cfg.profile, threads);
-///   const bool prof = rec.active();
-///   ... if (prof) { t.start(); } ... if (prof) rec.slot(tid).add_phase(...);
-///   rec.aggregate(wall.seconds());
+///   ... { PhaseScope s(Phase::kMicro, rec.slot(tid), cfg.trace, ic, jc);
+///         ...region... }
+///   rec.aggregate();
 class Recorder {
  public:
   /// `sink == nullptr` produces an inactive recorder (no allocation).
@@ -211,18 +219,66 @@ class Recorder {
   bool active() const { return sink_ != nullptr; }
   int threads() const { return threads_; }
 
-  /// Thread tid's private slot; valid for tid in [0, threads).
-  ThreadCounters& slot(int tid) { return slots_[tid]; }
+  /// Thread tid's private slot, tid in [0, threads); null when inactive.
+  ThreadCounters* slot(int tid) {
+    return slots_ == nullptr ? nullptr : &slots_[tid];
+  }
 
   /// Reduce the slots into the sink (max-of-threads phase times, summed
-  /// thread-seconds and counters) and add `wall_seconds` and one invocation.
-  /// No-op when inactive.
-  void aggregate(double wall_seconds);
+  /// thread-seconds and counters) and add the wall time since construction
+  /// and one invocation. No-op when inactive.
+  void aggregate();
 
  private:
   KernelProfile* sink_ = nullptr;
   ThreadCounters* slots_ = nullptr;
   int threads_ = 0;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// RAII bracket of one region: the wall time, the PMU delta (when the host
+/// grants perf counters) and a trace span, all tagged with one Phase and the
+/// panel indices `a`/`b`. Time and PMU go to `slot`, the span to `trace`;
+/// either may be null, and with both null the scope reads no clock and no
+/// counter. A scope built on a parent is carved out of it: it records under
+/// its own phase and the parent records its region minus the children's
+/// time and PMU deltas (how a select nested in the micro phase is split off).
+class PhaseScope {
+ public:
+  PhaseScope(Phase phase, ThreadCounters* slot, TraceSink* trace, int a = -1,
+             int b = -1)
+      : phase_(phase), slot_(slot), trace_(trace), a_(a), b_(b) {
+    if (slot_ != nullptr || trace_ != nullptr) open();
+  }
+  PhaseScope(Phase phase, PhaseScope& parent, int a = -1, int b = -1)
+      : PhaseScope(phase, parent.slot_, parent.trace_, a, b) {
+    parent_ = &parent;
+  }
+  ~PhaseScope() { close(); }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  /// Record the region now instead of at scope exit (idempotent).
+  void close() {
+    if (open_) finish();
+  }
+
+ private:
+  void open();
+  void finish();
+
+  Phase phase_;
+  ThreadCounters* slot_;
+  TraceSink* trace_;
+  PhaseScope* parent_ = nullptr;
+  int a_, b_;
+  bool open_ = false;
+  bool pmu_ = false;  ///< the opening PMU snapshot succeeded
+  std::uint64_t ts0_ = 0;
+  std::chrono::steady_clock::time_point t0_;
+  PmuCounts pmu0_;
+  double carved_secs_ = 0.0;
+  PmuCounts carved_pmu_;
 };
 
 /// Name of a SimdLevel integer as stored in KernelProfile::simd_level.

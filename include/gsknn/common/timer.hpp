@@ -1,6 +1,7 @@
-// Wall-clock timing helpers for benches and the breakdown instrumentation of
-// Table 5. steady_clock-based; resolution is tens of nanoseconds, far below
-// the millisecond-scale phases being measured.
+// Wall-clock stopwatch for benches, tools and solver-level timing (the
+// kernels' per-phase breakdown is telemetry::PhaseScope). steady_clock-based;
+// resolution is tens of nanoseconds, far below the millisecond-scale
+// regions being measured.
 #pragma once
 
 #include <chrono>
@@ -25,42 +26,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point t0_;
-};
-
-/// Accumulating timer for phase breakdowns: tic()/toc() pairs add into a
-/// running total. Used by the Algorithm-2.1 baseline to produce the
-/// Tcoll/Tgemm/Tsq2d/Theap columns of Table 5.
-class PhaseTimer {
- public:
-  void tic() {
-    running_ = true;
-    t_.start();
-  }
-
-  /// Adds the time since the matching tic(). A toc() without a preceding
-  /// tic() is a no-op — it must not add whatever has elapsed since the
-  /// constructor started the inner clock.
-  void toc() {
-    if (!running_) return;
-    running_ = false;
-    total_ += t_.seconds();
-  }
-
-  /// True between a tic() and its matching toc().
-  bool running() const { return running_; }
-
-  double seconds() const { return total_; }
-  double milliseconds() const { return total_ * 1e3; }
-
-  void reset() {
-    total_ = 0.0;
-    running_ = false;
-  }
-
- private:
-  WallTimer t_;
-  double total_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace gsknn

@@ -3,8 +3,11 @@
 #include "gsknn/common/telemetry.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+
+#include "gsknn/common/trace.hpp"
 
 namespace gsknn::telemetry {
 
@@ -347,12 +350,13 @@ Recorder::Recorder(KernelProfile* sink, int threads)
     : sink_(sink), threads_(threads < 1 ? 1 : threads) {
   if (sink_ != nullptr) {
     slots_ = new ThreadCounters[static_cast<std::size_t>(threads_)]();
+    start_ = std::chrono::steady_clock::now();
   }
 }
 
 Recorder::~Recorder() { delete[] slots_; }
 
-void Recorder::aggregate(double wall_seconds) {
+void Recorder::aggregate() {
   if (sink_ == nullptr) return;
   for (int p = 0; p < kPhaseCount; ++p) {
     double mx = 0.0, sum = 0.0;
@@ -378,8 +382,39 @@ void Recorder::aggregate(double wall_seconds) {
       sink_->phase_pmu[p][e] += sum;
     }
   }
-  sink_->wall_seconds += wall_seconds;
+  sink_->wall_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count();
   sink_->invocations += 1;
+}
+
+void PhaseScope::open() {
+  open_ = true;
+  if (slot_ != nullptr) {
+    t0_ = std::chrono::steady_clock::now();
+    pmu_ = pmu_available() && PmuGroup::this_thread().read(pmu0_);
+  }
+  if (trace_ != nullptr) ts0_ = trace_now();
+}
+
+void PhaseScope::finish() {
+  open_ = false;
+  if (trace_ != nullptr) trace_->record(phase_, ts0_, trace_now(), a_, b_);
+  if (slot_ == nullptr) return;
+  PmuCounts delta;
+  PmuCounts now;
+  if (pmu_ && PmuGroup::this_thread().read(now)) {
+    delta = now.delta_since(pmu0_);
+    slot_->add_pmu(phase_, delta.delta_since(carved_pmu_));
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
+          .count();
+  slot_->add_phase(phase_, secs - carved_secs_);
+  if (parent_ != nullptr) {
+    parent_->carved_secs_ += secs;
+    parent_->carved_pmu_.accumulate(delta);
+  }
 }
 
 }  // namespace gsknn::telemetry

@@ -17,10 +17,8 @@
 #include "gsknn/blas/gemm.hpp"
 #include "gsknn/common/aligned.hpp"
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/pmu.hpp"
+#include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
-#include "gsknn/common/trace.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/model/perf_model.hpp"
@@ -56,36 +54,20 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     return result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
   };
 
-  // All four Table-5 phases are timed into the unified telemetry profile;
-  // the legacy BaselineBreakdown view is derived from it at the end. The
-  // phases run (or are orchestrated) from this thread, so master-side wall
-  // timing per phase is exact — no per-thread recorder needed.
+  // All four Table-5 phases are PhaseScopes on a recorder over a local
+  // profile; the legacy BaselineBreakdown view is derived from it at the
+  // end. Collect and GEMM run on this thread (slot 0); the two row-parallel
+  // phases bracket each worker's chunk in its own slot, so the phase time is
+  // the critical path across workers, as in the fused driver.
+  const int threads = resolve_threads(cfg.threads);
+  const bool timed = cfg.profile != nullptr || breakdown != nullptr;
   telemetry::KernelProfile prof;
-  WallTimer wall_timer;
-  WallTimer t;
-  const auto record = [&prof](telemetry::Phase ph, double secs) {
-    prof.phase_seconds[static_cast<int>(ph)] += secs;
-    prof.phase_thread_seconds[static_cast<int>(ph)] += secs;
-  };
-  // PMU/trace instrumentation mirrors the fused driver: counter deltas are
-  // attributed at the same boundaries as the timers. Workers in the parallel
-  // phases read their own thread-pinned groups and merge under a critical
-  // (once per phase per thread — not hot).
-  const bool pmu_on = cfg.profile != nullptr && telemetry::pmu_available();
+  telemetry::Recorder rec(timed ? &prof : nullptr, threads);
   telemetry::TraceSink* const trace = cfg.trace;
-  const auto record_pmu = [&prof](telemetry::Phase ph,
-                                  const telemetry::PmuCounts& delta) {
-    for (int e = 0; e < telemetry::kPmuEventCount; ++e) {
-      prof.phase_pmu[static_cast<int>(ph)][e] += delta.v[e];
-    }
-  };
 
   // Phase 1 — collect: gather Q (d×m), R (d×n) and the norms from X.
-  t.start();
-  telemetry::PmuCounts mc0;
-  std::uint64_t mt0 = 0;
-  if (pmu_on) telemetry::PmuGroup::this_thread().read(mc0);
-  if (trace != nullptr) mt0 = telemetry::trace_now();
+  telemetry::PhaseScope collect(telemetry::Phase::kCollect, rec.slot(0),
+                                trace, m, n);
   AlignedBuffer<double> q(static_cast<std::size_t>(d) * m);
   AlignedBuffer<double> r(static_cast<std::size_t>(d) * n);
   AlignedBuffer<double> q2(static_cast<std::size_t>(m));
@@ -102,51 +84,28 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     for (int p = 0; p < d; ++p) dst[p] = src[p];
     r2[static_cast<std::size_t>(j)] = X.norms2()[ridx[static_cast<std::size_t>(j)]];
   }
-  record(telemetry::Phase::kCollect, t.seconds());
-  if (trace != nullptr) {
-    const std::uint64_t now = telemetry::trace_now();
-    trace->record(telemetry::Phase::kCollect, mt0, now, m, n);
-    mt0 = now;
-  }
-  if (pmu_on) {
-    telemetry::PmuCounts mc1;
-    if (telemetry::PmuGroup::this_thread().read(mc1)) {
-      record_pmu(telemetry::Phase::kCollect, mc1.delta_since(mc0));
-      mc0 = mc1;
-    }
-  }
+  collect.close();
 
   // Phase 2 — GEMM: Cᵀ(n×m) = α·RᵀQ (α = −2 for ℓ2, 1 for cosine), so
   // query i's distances are the contiguous column C[:, i].
-  t.start();
+  telemetry::PhaseScope gemm(telemetry::Phase::kMicro, rec.slot(0), trace, m,
+                             n);
   AlignedBuffer<double> c(static_cast<std::size_t>(n) * m);
   blas::dgemm(blas::Trans::kYes, blas::Trans::kNo, n, m, d,
               cosine ? 1.0 : -2.0, r.data(), d, q.data(), d, 0.0, c.data(), n);
-  record(telemetry::Phase::kMicro, t.seconds());
-  if (trace != nullptr) {
-    trace->record(telemetry::Phase::kMicro, mt0, telemetry::trace_now(), m, n);
-  }
-  if (pmu_on) {
-    telemetry::PmuCounts mc1;
-    if (telemetry::PmuGroup::this_thread().read(mc1)) {
-      record_pmu(telemetry::Phase::kMicro, mc1.delta_since(mc0));
-    }
-  }
+  gemm.close();
 
   // Phase 3 — finish the distances: ℓ2 adds ‖q_i‖² + ‖r_j‖²; cosine
   // normalizes by the norms. The worksharing loop is written as parallel +
-  // for-nowait so each worker can bracket its own chunk with PMU reads and a
-  // trace span (the nowait makes per-thread span ends reflect real finish
-  // times — 4th-phase load imbalance shows up on the timeline).
-  t.start();
+  // for-nowait so each worker brackets its own chunk (the nowait makes
+  // per-thread span ends reflect real finish times — load imbalance shows
+  // up on the timeline).
 #if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(resolve_threads(cfg.threads))
+#pragma omp parallel num_threads(threads)
 #endif
   {
-    telemetry::PmuCounts w0;
-    std::uint64_t wt0 = 0;
-    if (pmu_on) telemetry::PmuGroup::this_thread().read(w0);
-    if (trace != nullptr) wt0 = telemetry::trace_now();
+    telemetry::PhaseScope sq2d(telemetry::Phase::kSq2d, rec.slot(thread_id()),
+                               trace, m, n);
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
@@ -170,34 +129,16 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
         }
       }
     }
-    if (trace != nullptr) {
-      trace->record(telemetry::Phase::kSq2d, wt0, telemetry::trace_now(), m,
-                    n);
-    }
-    if (pmu_on) {
-      telemetry::PmuCounts w1;
-      if (telemetry::PmuGroup::this_thread().read(w1)) {
-        const telemetry::PmuCounts delta = w1.delta_since(w0);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp critical(gsknn_baseline_pmu)
-#endif
-        record_pmu(telemetry::Phase::kSq2d, delta);
-      }
-    }
   }
-  record(telemetry::Phase::kSq2d, t.seconds());
 
   // Phase 4 — selection: STL max-heap per query row.
-  t.start();
 #if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(resolve_threads(cfg.threads))
+#pragma omp parallel num_threads(threads)
 #endif
   {
+    telemetry::PhaseScope sel(telemetry::Phase::kSelect, rec.slot(thread_id()),
+                              trace, m, n);
     SelectScratch scratch;
-    telemetry::PmuCounts w0;
-    std::uint64_t wt0 = 0;
-    if (pmu_on) telemetry::PmuGroup::this_thread().read(w0);
-    if (trace != nullptr) wt0 = telemetry::trace_now();
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
@@ -218,22 +159,9 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
         }
       }
     }
-    if (trace != nullptr) {
-      trace->record(telemetry::Phase::kSelect, wt0, telemetry::trace_now(), m,
-                    n);
-    }
-    if (pmu_on) {
-      telemetry::PmuCounts w1;
-      if (telemetry::PmuGroup::this_thread().read(w1)) {
-        const telemetry::PmuCounts delta = w1.delta_since(w0);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp critical(gsknn_baseline_pmu)
-#endif
-        record_pmu(telemetry::Phase::kSelect, delta);
-      }
-    }
   }
-  record(telemetry::Phase::kSelect, t.seconds());
+  if (!timed) return;
+  rec.aggregate();
 
   prof.algorithm = "gemm_baseline";
   prof.precision = "f64";
@@ -241,11 +169,9 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
   prof.n = n;
   prof.d = d;
   prof.k = k;
-  prof.threads = resolve_threads(cfg.threads);
+  prof.threads = threads;
   prof.simd_level = static_cast<int>(cpu_features().best_level());
   prof.blocking = default_blocking(cpu_features().best_level());
-  prof.wall_seconds = wall_timer.seconds();
-  prof.invocations = 1;
   {
     static const model::MachineParams mp{};
     const model::ProblemShape shape{m, n, d, k};
@@ -254,7 +180,7 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     prof.peak_gflops = mp.peak_flops / 1e9;
     prof.peak_gbs = model::peak_stream_gbs(mp);
   }
-  prof.pmu_enabled = pmu_on;
+  prof.pmu_enabled = cfg.profile != nullptr && telemetry::pmu_available();
 
   if (cfg.profile != nullptr) cfg.profile->merge(prof);
   if (breakdown != nullptr) *breakdown = BaselineBreakdown::from_profile(prof);

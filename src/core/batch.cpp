@@ -392,67 +392,51 @@ void packed_batch_totals(const PackedRefs& refs,
                                                   : static_cast<int>(n);
 }
 
+Status batch_entry(const PointTable& X, std::span<const KnnTask> tasks, int k,
+                   const KnnConfig& cfg) {
+  int m_total = 0, n_total = 0;
+  batch_totals(tasks, m_total, n_total);
+  return core::record_entry_status(
+      metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
+      [&] { return knn_batch_impl(X, tasks, k, cfg); });
+}
+
+Status batch_entry(PackedRefs& refs, std::span<const PackedKnnTask> tasks,
+                   int k, const KnnConfig& cfg,
+                   std::uint64_t expected_epoch) {
+  int m_total = 0, n_total = 0;
+  packed_batch_totals(refs, tasks, m_total, n_total);
+  const int d = refs.built() ? refs.table()->dim() : 0;
+  return core::record_entry_status(
+      metrics::EntryPoint::kBatch, m_total, n_total, d, k, [&] {
+        return knn_batch_packed_impl(refs, tasks, k, cfg, expected_epoch);
+      });
+}
+
 }  // namespace
 
 void knn_batch(const PointTable& X, std::span<const KnnTask> tasks, int k,
                const KnnConfig& cfg) {
-  int m_total = 0, n_total = 0;
-  batch_totals(tasks, m_total, n_total);
-  const Status s = core::record_entry_status(
-      metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
-      [&] { return knn_batch_impl(X, tasks, k, cfg); });
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: batch stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(batch_entry(X, tasks, k, cfg),
+                        "gsknn: batch stopped: ");
 }
 
 Status knn_batch_status(const PointTable& X, std::span<const KnnTask> tasks,
                         int k, const KnnConfig& cfg) {
-  int m_total = 0, n_total = 0;
-  batch_totals(tasks, m_total, n_total);
-  try {
-    return core::record_entry_status(
-        metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
-        [&] { return knn_batch_impl(X, tasks, k, cfg); });
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of([&] { return batch_entry(X, tasks, k, cfg); });
 }
 
 void knn_batch(PackedRefs& refs, std::span<const PackedKnnTask> tasks, int k,
                const KnnConfig& cfg, std::uint64_t expected_epoch) {
-  int m_total = 0, n_total = 0;
-  packed_batch_totals(refs, tasks, m_total, n_total);
-  const int d = refs.built() ? refs.table()->dim() : 0;
-  const Status s = core::record_entry_status(
-      metrics::EntryPoint::kBatch, m_total, n_total, d, k, [&] {
-        return knn_batch_packed_impl(refs, tasks, k, cfg, expected_epoch);
-      });
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: batch stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(batch_entry(refs, tasks, k, cfg, expected_epoch),
+                        "gsknn: batch stopped: ");
 }
 
 Status knn_batch_status(PackedRefs& refs,
                         std::span<const PackedKnnTask> tasks, int k,
                         const KnnConfig& cfg, std::uint64_t expected_epoch) {
-  int m_total = 0, n_total = 0;
-  packed_batch_totals(refs, tasks, m_total, n_total);
-  const int d = refs.built() ? refs.table()->dim() : 0;
-  try {
-    return core::record_entry_status(
-        metrics::EntryPoint::kBatch, m_total, n_total, d, k, [&] {
-          return knn_batch_packed_impl(refs, tasks, k, cfg, expected_epoch);
-        });
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of(
+      [&] { return batch_entry(refs, tasks, k, cfg, expected_epoch); });
 }
 
 }  // namespace gsknn

@@ -38,11 +38,8 @@
 #include "gsknn/common/fault.hpp"
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/pmu.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
-#include "gsknn/common/trace.hpp"
 #include "gsknn/common/workspace.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
@@ -383,8 +380,8 @@ struct CachedRefPanels {
   int cur = -1;
   typename PackedRefsT<T>::Lease lease;
 
-  const T* get(int jc, int nb, int nbpad, int pc, int db, bool last,
-               bool needs_norms, std::uint64_t& bytes) {
+  const T* get(int jc, int nb, [[maybe_unused]] int nbpad, int pc, int db,
+               bool last, bool needs_norms, std::uint64_t& bytes) {
     (void)nb;
     (void)db;
     (void)last;
@@ -491,15 +488,12 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     }
   }
 
-  // Telemetry: inactive (null sink) recorders cost one predictable branch
-  // per cache block; counters additionally require a GSKNN_PROFILE build.
+  // Telemetry: every timed region below is a PhaseScope on its thread's
+  // recorder slot. With no profile and no trace sink attached the scopes
+  // read nothing — one predictable branch per cache block; counters
+  // additionally require a GSKNN_PROFILE build.
   telemetry::Recorder rec(cfg.profile, threads);
-  const bool prof = rec.active();
-  // Hardware-counter attribution piggybacks on the same snapshot points as
-  // the phase timers; trace spans read timestamps only with a sink attached.
-  const bool pmu_on = prof && telemetry::pmu_available();
   telemetry::TraceSink* const trace = cfg.trace;
-  WallTimer wall_timer;
 
   const auto heap_row = [&](int i) {
     return result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
@@ -590,25 +584,41 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     cbuf = sws.alloc<T>(static_cast<std::size_t>(celems));
   }
 
-  // The Var#5/6 selection region: every query row offers the `len` finished
-  // distances at the head of its cbuf row (ids `cids`) to its heap. Each
-  // team thread rewinds its own arena — the 4th loop is done with its Qc
-  // panel — for the batched-selection scratch the plan sized; should the
-  // insurance reserve fail, its rows fall back to per-candidate selection,
-  // which needs none. `trace_col` tags the trace span (jc, or -1).
+  // Selection over materialized distances, shared by Var#2 (per nr-sliver),
+  // Var#3 (per mc x nc block) and Var#5/6 (per panel): rows [i0, i1) offer
+  // the `len` finished distances at column `col` of their cbuf rows (ids
+  // `ids`) to their heaps. Rows with batch scratch (`sd`/`sid`) go through
+  // heap::batch_select, the rest one candidate at a time.
+  const auto select_rows = [&](int i0, int i1, int col, const int* ids,
+                               int len, T* sd, int* sid,
+                               telemetry::ThreadCounters* tc) {
+    for (int i = i0; i < i1; ++i) {
+      const int row = heap_row(i);
+      const T* const cand = cbuf + static_cast<long>(i) * ld + col;
+      if (sd != nullptr) {
+        row_select_batched(cand, ids, len, result.row_dists(row),
+                           result.row_ids(row), k, arity, sd, sid, tc);
+      } else {
+        row_select(cand, ids, len, result.row_dists(row), result.row_ids(row),
+                   result.row_idset(row), k, stride, arity, cfg.dedup, tc);
+      }
+    }
+  };
+
+  // The Var#5/6 selection region: every query row selects from the head of
+  // its cbuf row. Each team thread rewinds its own arena — the 4th loop is
+  // done with its Qc panel — for the batched-selection scratch the plan
+  // sized; should the insurance reserve fail, its rows fall back to
+  // per-candidate selection, which needs none. `trace_col` tags the trace
+  // span (jc, or -1).
   const auto select_region = [&](const int* cids, int len, int trace_col) {
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp parallel num_threads(threads)
 #endif
     {
-      const int tid = thread_id();
-      telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-      WallTimer sel_timer;
-      telemetry::PmuCounts sc0;
-      std::uint64_t ts0 = 0;
-      if (prof) sel_timer.start();
-      if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-      if (trace != nullptr) ts0 = telemetry::trace_now();
+      telemetry::ThreadCounters* const tc = rec.slot(thread_id());
+      telemetry::PhaseScope sel(telemetry::Phase::kSelect, tc, trace, -1,
+                                trace_col);
       T* sd = nullptr;
       int* sid = nullptr;
       if (plan.batch_select) {
@@ -632,28 +642,8 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
 #pragma omp for schedule(static) nowait
 #endif
       for (int i = 0; i < m; ++i) {
-        const int row = heap_row(i);
-        const T* const cand = cbuf + static_cast<long>(i) * ld;
-        if (sd != nullptr) {
-          row_select_batched(cand, cids, len, result.row_dists(row),
-                             result.row_ids(row), k, arity, sd, sid, tc);
-        } else {
-          row_select(cand, cids, len, result.row_dists(row),
-                     result.row_ids(row), result.row_idset(row), k, stride,
-                     arity, cfg.dedup, tc);
-        }
+        select_rows(i, i + 1, 0, cids, len, sd, sid, tc);
       }
-      if (trace != nullptr) {
-        trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
-                      -1, trace_col);
-      }
-      if (pmu_on) {
-        telemetry::PmuCounts sc1;
-        if (telemetry::PmuGroup::this_thread().read(sc1)) {
-          tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
-        }
-      }
-      if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
     }
   };
 
@@ -685,15 +675,13 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       // Pack phase, reference side: cold packs the slab into the arena and
       // reports its bytes; warm leases the cached block — 0 bytes on a
       // resident hit, which is exactly what kBytesPackedR then records.
-      WallTimer pack_r_timer;
-      telemetry::PmuCounts pr0;
-      std::uint64_t tr0 = 0;
-      if (prof) pack_r_timer.start();
-      if (pmu_on) telemetry::PmuGroup::this_thread().read(pr0);
-      if (trace != nullptr) tr0 = telemetry::trace_now();
+      // pack-Rc runs outside the parallel region, on the master thread.
+      telemetry::PhaseScope pack_r(telemetry::Phase::kPackR, rec.slot(0),
+                                   trace, jc, pc);
       std::uint64_t pack_bytes = 0;
       const T* const rcp =
           rpanels.get(jc, nb, nbpad, pc, db, last, needs_norms, pack_bytes);
+      pack_r.close();
       if (rcp == nullptr) {
         // Acquire failure (allocation under a cache miss): stop like any
         // other resource failure, with the affected rows flagged below.
@@ -704,22 +692,9 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         break;
       }
       const T* const r2cur = (last && needs_norms) ? rpanels.norms() : nullptr;
-      if (trace != nullptr) {
-        trace->record(telemetry::Phase::kPackR, tr0, telemetry::trace_now(),
-                      jc, pc);
-      }
-      if (prof) {
-        // pack-Rc runs outside the parallel region, on the master thread.
-        telemetry::ThreadCounters& s0 = rec.slot(0);
-        s0.add_phase(telemetry::Phase::kPackR, pack_r_timer.seconds());
-        if (pmu_on) {
-          telemetry::PmuCounts pr1;
-          if (telemetry::PmuGroup::this_thread().read(pr1)) {
-            s0.add_pmu(telemetry::Phase::kPackR, pr1.delta_since(pr0));
-          }
-        }
-        if constexpr (telemetry::kCountersEnabled) {
-          s0.add(telemetry::Counter::kBytesPackedR, pack_bytes);
+      if constexpr (telemetry::kCountersEnabled) {
+        if (rec.active()) {
+          rec.slot(0)->add(telemetry::Counter::kBytesPackedR, pack_bytes);
         }
       }
 
@@ -743,19 +718,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         const int mb = (m - ic < mc) ? m - ic : mc;
         const int mbpad = static_cast<int>(round_up(
             static_cast<std::size_t>(mb), static_cast<std::size_t>(tmr)));
-        const int tid = thread_id();
-        telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-        WallTimer block_timer;
-        double select_secs = 0.0;
+        telemetry::ThreadCounters* const tc = rec.slot(thread_id());
         [[maybe_unused]] std::uint64_t tiles_local = 0, cand_local = 0;
-        // PMU snapshots bracket the same regions as the timers: bc0→bc1 is
-        // pack-Qc, bc1→block-end minus the accumulated select deltas is the
-        // micro-kernel (mirroring the select_secs subtraction below).
-        telemetry::PmuCounts bc0, bc1, sel_pmu;
-        std::uint64_t tq0 = 0;
-        if (prof) block_timer.start();
-        if (pmu_on) telemetry::PmuGroup::this_thread().read(bc0);
-        if (trace != nullptr) tq0 = telemetry::trace_now();
+        telemetry::PhaseScope pack_q(telemetry::Phase::kPackQ, tc, trace, ic,
+                                     pc);
         WorkspaceArena& ws = thread_arena();
         if (ws.capacity() < plan.per_thread_bytes) {
           ws.reserve(plan.per_thread_bytes);  // preamble insurance (above)
@@ -782,24 +748,23 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           cand_cnt = ws.alloc<int>(static_cast<std::size_t>(mbpad));
           for (int i = 0; i < mbpad; ++i) cand_cnt[i] = 0;
         }
-        std::uint64_t tm0 = 0;
-        if (trace != nullptr) {
-          tm0 = telemetry::trace_now();
-          trace->record(telemetry::Phase::kPackQ, tq0, tm0, ic, pc);
-        }
-        if (prof) {
-          tc->add_phase(telemetry::Phase::kPackQ, block_timer.seconds());
-          if (pmu_on && telemetry::PmuGroup::this_thread().read(bc1)) {
-            tc->add_pmu(telemetry::Phase::kPackQ, bc1.delta_since(bc0));
-          }
-          if constexpr (telemetry::kCountersEnabled) {
+        pack_q.close();
+        if constexpr (telemetry::kCountersEnabled) {
+          if (tc != nullptr) {
             std::uint64_t bytes =
                 static_cast<std::uint64_t>(mbpad) * db * sizeof(T);
-            if (last && needs_norms) bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
+            if (last && needs_norms) {
+              bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
+            }
             tc->add(telemetry::Counter::kBytesPackedQ, bytes);
           }
-          block_timer.start();  // from here to the end of the 3rd loop: micro
         }
+
+        // The micro phase spans the whole 3rd loop plus the deferred drain
+        // (for Var#1 that includes the fused selection); Var#2's per-sliver
+        // selections are carved out of it.
+        telemetry::PhaseScope micro_scope(telemetry::Phase::kMicro, tc, trace,
+                                          ic, jc);
 
         for (int jr = 0; jr < nb; jr += tnr) {  // ---- 3rd loop ----
           const int cols = (nb - jr < tnr) ? nb - jr : tnr;
@@ -862,30 +827,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           }  // 2nd loop
 
           if (variant == Variant::kVar2 && last) {
-            WallTimer sel_timer;
-            telemetry::PmuCounts sc0;
-            std::uint64_t ts0 = 0;
-            if (prof) sel_timer.start();
-            if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-            if (trace != nullptr) ts0 = telemetry::trace_now();
-            for (int i = 0; i < mb; ++i) {
-              const int row = heap_row(ic + i);
-              row_select(cbuf + static_cast<long>(ic + i) * ld + jr,
-                         rid + jc + jr, cols, result.row_dists(row),
-                         result.row_ids(row), result.row_idset(row), k,
-                         stride, arity, cfg.dedup, tc);
-            }
-            if (trace != nullptr) {
-              trace->record(telemetry::Phase::kSelect, ts0,
-                            telemetry::trace_now(), ic, jc + jr);
-            }
-            if (pmu_on) {
-              telemetry::PmuCounts sc1;
-              if (telemetry::PmuGroup::this_thread().read(sc1)) {
-                sel_pmu.accumulate(sc1.delta_since(sc0));
-              }
-            }
-            if (prof) select_secs += sel_timer.seconds();
+            telemetry::PhaseScope sel(telemetry::Phase::kSelect, micro_scope,
+                                      ic, jc + jr);
+            select_rows(ic, ic + mb, jr, rid + jc + jr, cols, nullptr, nullptr,
+                        tc);
           }
         }  // 3rd loop
 
@@ -902,55 +847,15 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           }
         }
 
-        // The micro span covers the whole 3rd loop plus the deferred drain;
-        // Var#2 select spans nest inside it on the timeline, matching how
-        // select_secs is carved out of the micro-phase *time* below.
-        if (trace != nullptr) {
-          trace->record(telemetry::Phase::kMicro, tm0, telemetry::trace_now(),
-                        ic, jc);
-        }
+        micro_scope.close();
 
         if (variant == Variant::kVar3 && last) {
-          WallTimer sel_timer;
-          telemetry::PmuCounts sc0;
-          std::uint64_t ts0 = 0;
-          if (prof) sel_timer.start();
-          if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-          if (trace != nullptr) ts0 = telemetry::trace_now();
-          for (int i = 0; i < mb; ++i) {
-            const int row = heap_row(ic + i);
-            row_select(cbuf + static_cast<long>(ic + i) * ld,
-                       rid + jc, nb, result.row_dists(row),
-                       result.row_ids(row), result.row_idset(row), k, stride,
-                       arity, cfg.dedup, tc);
-          }
-          if (trace != nullptr) {
-            trace->record(telemetry::Phase::kSelect, ts0,
-                          telemetry::trace_now(), ic, jc);
-          }
-          if (pmu_on) {
-            telemetry::PmuCounts sc1;
-            if (telemetry::PmuGroup::this_thread().read(sc1)) {
-              sel_pmu.accumulate(sc1.delta_since(sc0));
-            }
-          }
-          if (prof) select_secs += sel_timer.seconds();
+          telemetry::PhaseScope sel(telemetry::Phase::kSelect, tc, trace, ic,
+                                    jc);
+          select_rows(ic, ic + mb, 0, rid + jc, nb, nullptr, nullptr, tc);
         }
-        if (prof) {
-          // Everything in the 3rd loop that was not selection is micro-
-          // kernel time (for Var#1 that includes the fused selection).
-          tc->add_phase(telemetry::Phase::kMicro,
-                        block_timer.seconds() - select_secs);
-          tc->add_phase(telemetry::Phase::kSelect, select_secs);
-          if (pmu_on) {
-            telemetry::PmuCounts bc2;
-            if (telemetry::PmuGroup::this_thread().read(bc2)) {
-              tc->add_pmu(telemetry::Phase::kMicro,
-                          bc2.delta_since(bc1).delta_since(sel_pmu));
-              tc->add_pmu(telemetry::Phase::kSelect, sel_pmu);
-            }
-          }
-          if constexpr (telemetry::kCountersEnabled) {
+        if constexpr (telemetry::kCountersEnabled) {
+          if (tc != nullptr) {
             tc->add(telemetry::Counter::kTiles, tiles_local);
             tc->add(telemetry::Counter::kCandidates, cand_local);
             tc->add(telemetry::Counter::kRootRejects, cand_local);
@@ -1014,7 +919,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     }
   }
 
-  if (prof) {
+  if (rec.active()) {
     telemetry::KernelProfile& P = *cfg.profile;
     P.algorithm = "gsknn";
     P.precision = sizeof(T) == 8 ? "f64" : "f32";
@@ -1041,8 +946,8 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     // Evaluated in *this* translation unit so a profiled core build reports
     // its counters even to consumers compiled without GSKNN_PROFILE.
     P.counters_enabled = P.counters_enabled || telemetry::kCountersEnabled;
-    P.pmu_enabled = P.pmu_enabled || pmu_on;
-    rec.aggregate(wall_timer.seconds());
+    P.pmu_enabled = P.pmu_enabled || telemetry::pmu_available();
+    rec.aggregate();
   }
   return outcome;
 }
@@ -1140,58 +1045,27 @@ Status packed_kernel_impl(PackedRefsT<T>& refs, std::span<const int> qidx,
                                result_rows, kp, rpanels);
 }
 
-/// Public-entry bracket: records (status, latency, shape) into the
-/// aggregate registry for every call — including ones that end in a throw —
-/// and, for clean runs, one model-drift sample comparing the measured wall
-/// time against the §2.6 prediction for the shape the call resolved to
-/// (Fig. 4 as a continuously monitored calibration error). Costs two clock
-/// reads and ~a dozen relaxed per-thread increments per call; nothing when
-/// metrics are disarmed.
+/// The metrics axis both precisions' kernel entry points record under.
 template <typename T>
-Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
-                           std::span<const int> ridx,
-                           NeighborTableT<T>& result, const KnnConfig& cfg,
-                           std::span<const int> result_rows) {
-  const bool met = metrics::enabled();
-  const bool rec = flightrec::enabled();
-  if (!met && !rec) {
-    return knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
-  }
+constexpr metrics::EntryPoint kernel_entry_point() {
+  return sizeof(T) == 8 ? metrics::EntryPoint::kKernelF64
+                        : metrics::EntryPoint::kKernelF32;
+}
+
+/// Cold public entry: the entry bracket plus, for clean runs, one
+/// model-drift sample comparing the measured wall time against the §2.6
+/// prediction for the shape the call resolved to (Fig. 4 as a continuously
+/// monitored calibration error).
+template <typename T>
+Status kernel_entry(const PointTableT<T>& X, std::span<const int> qidx,
+                    std::span<const int> ridx, NeighborTableT<T>& result,
+                    const KnnConfig& cfg, std::span<const int> result_rows) {
   const int m = static_cast<int>(qidx.size());
   const int n = static_cast<int>(ridx.size());
   const int d = X.dim();
   const int k = result.k();
-  const metrics::EntryPoint ep = sizeof(T) == 8
-                                     ? metrics::EntryPoint::kKernelF64
-                                     : metrics::EntryPoint::kKernelF32;
-  const std::uint64_t t0 = metrics::now_ns();
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallBegin, static_cast<int>(ep), 0,
-                      0, m, n, d, k);
-  }
-  Status s = Status::kInternal;
-  try {
-    s = knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
-  } catch (const StatusError& e) {
-    record_entry_end(met, rec, ep, static_cast<int>(e.status()), t0, m, n, d,
-                     k);
-    throw;
-  } catch (const std::bad_alloc&) {
-    record_entry_end(met, rec, ep,
-                     static_cast<int>(Status::kResourceExhausted), t0, m, n,
-                     d, k);
-    throw;
-  }
-  const std::uint64_t t1 = metrics::now_ns();
-  const std::uint64_t ns = t1 - t0;
-  if (met) {
-    metrics::record_call_at(t1, ep, static_cast<int>(s), ns, m, n, d, k);
-  }
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallEnd, static_cast<int>(ep),
-                      static_cast<int>(s), ns, m, n, d, k);
-  }
-  if (met && s == Status::kOk && m > 0 && n > 0 && d > 0 && k > 0) {
+  const auto drift = [&](std::uint64_t t1, std::uint64_t ns) {
+    if (m <= 0 || n <= 0 || d <= 0 || k <= 0) return;
     const Variant v = resolve_variant(m, n, d, k, cfg);
     static const model::MachineParams mp{};
     const BlockingParams bp = cfg.blocking.value_or(
@@ -1202,56 +1076,31 @@ Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
         shape, mp, bp);
     metrics::record_drift_at(t1, sizeof(T) == 4, predicted,
                              static_cast<double>(ns) * 1e-9);
-  }
-  return s;
+  };
+  return record_entry_status(
+      kernel_entry_point<T>(), m, n, d, k,
+      [&] {
+        return knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
+      },
+      drift);
 }
 
-/// Metrics bracket for the packed entry points: same (status, latency,
-/// shape) sample under the kernel entry-point axis — warm and cold traffic
-/// share one rate, which is what a server dashboard wants. No model-drift
-/// sample: the §2.6 model prices the pack phase the warm path skips, so a
-/// warm call would read as spurious model optimism.
+/// Warm public entry: the same (status, latency, shape) sample under the
+/// kernel entry-point axis — warm and cold traffic share one rate, which is
+/// what a server dashboard wants. No model-drift sample: the §2.6 model
+/// prices the pack phase the warm path skips, so a warm call would read as
+/// spurious model optimism.
 template <typename T>
-Status packed_kernel_with_metrics(PackedRefsT<T>& refs,
-                                  std::span<const int> qidx,
-                                  NeighborTableT<T>& result,
-                                  const KnnConfig& cfg,
-                                  std::span<const int> result_rows,
-                                  std::uint64_t expected_epoch) {
-  const bool met = metrics::enabled();
-  const bool rec = flightrec::enabled();
-  if (!met && !rec) {
-    return packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
-                                 expected_epoch);
-  }
-  const int m = static_cast<int>(qidx.size());
-  const int n = refs.size();
-  const int d = refs.built() ? refs.table()->dim() : 0;
-  const int k = result.k();
-  const metrics::EntryPoint ep = sizeof(T) == 8
-                                     ? metrics::EntryPoint::kKernelF64
-                                     : metrics::EntryPoint::kKernelF32;
-  const std::uint64_t t0 = metrics::now_ns();
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallBegin, static_cast<int>(ep), 0,
-                      0, m, n, d, k);
-  }
-  Status s = Status::kInternal;
-  try {
-    s = packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
-                              expected_epoch);
-  } catch (const StatusError& e) {
-    record_entry_end(met, rec, ep, static_cast<int>(e.status()), t0, m, n, d,
-                     k);
-    throw;
-  } catch (const std::bad_alloc&) {
-    record_entry_end(met, rec, ep,
-                     static_cast<int>(Status::kResourceExhausted), t0, m, n,
-                     d, k);
-    throw;
-  }
-  record_entry_end(met, rec, ep, static_cast<int>(s), t0, m, n, d, k);
-  return s;
+Status packed_kernel_entry(PackedRefsT<T>& refs, std::span<const int> qidx,
+                           NeighborTableT<T>& result, const KnnConfig& cfg,
+                           std::span<const int> result_rows,
+                           std::uint64_t expected_epoch) {
+  return record_entry_status(
+      kernel_entry_point<T>(), static_cast<int>(qidx.size()), refs.size(),
+      refs.built() ? refs.table()->dim() : 0, result.k(), [&] {
+        return packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
+                                     expected_epoch);
+      });
 }
 
 }  // namespace
@@ -1302,107 +1151,75 @@ Variant resolve_variant(int m, int n, int d, int k, const KnnConfig& cfg) {
 void knn_kernel(const PointTable& X, std::span<const int> qidx,
                 std::span<const int> ridx, NeighborTable& result,
                 const KnnConfig& cfg, std::span<const int> result_rows) {
-  const Status s =
-      core::kernel_with_metrics<double>(X, qidx, ridx, result, cfg,
-                                        result_rows);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: kernel stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(core::kernel_entry<double>(X, qidx, ridx, result, cfg,
+                                                   result_rows),
+                        "gsknn: kernel stopped: ");
 }
 
 void knn_kernel(const PointTableF& X, std::span<const int> qidx,
                 std::span<const int> ridx, NeighborTableF& result,
                 const KnnConfig& cfg, std::span<const int> result_rows) {
-  const Status s =
-      core::kernel_with_metrics<float>(X, qidx, ridx, result, cfg,
-                                       result_rows);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: kernel stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(core::kernel_entry<float>(X, qidx, ridx, result, cfg,
+                                                  result_rows),
+                        "gsknn: kernel stopped: ");
 }
 
 Status knn_kernel_status(const PointTable& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTable& result,
                          const KnnConfig& cfg,
                          std::span<const int> result_rows) {
-  try {
-    return core::kernel_with_metrics<double>(X, qidx, ridx, result, cfg,
-                                             result_rows);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of([&] {
+    return core::kernel_entry<double>(X, qidx, ridx, result, cfg, result_rows);
+  });
 }
 
 Status knn_kernel_status(const PointTableF& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTableF& result,
                          const KnnConfig& cfg,
                          std::span<const int> result_rows) {
-  try {
-    return core::kernel_with_metrics<float>(X, qidx, ridx, result, cfg,
-                                            result_rows);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of([&] {
+    return core::kernel_entry<float>(X, qidx, ridx, result, cfg, result_rows);
+  });
 }
 
 void knn_kernel(PackedRefs& refs, std::span<const int> qidx,
                 NeighborTable& result, const KnnConfig& cfg,
                 std::span<const int> result_rows,
                 std::uint64_t expected_epoch) {
-  const Status s = core::packed_kernel_with_metrics<double>(
-      refs, qidx, result, cfg, result_rows, expected_epoch);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: packed kernel stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(
+      core::packed_kernel_entry<double>(refs, qidx, result, cfg, result_rows,
+                                        expected_epoch),
+      "gsknn: packed kernel stopped: ");
 }
 
 void knn_kernel(PackedRefsF& refs, std::span<const int> qidx,
                 NeighborTableF& result, const KnnConfig& cfg,
                 std::span<const int> result_rows,
                 std::uint64_t expected_epoch) {
-  const Status s = core::packed_kernel_with_metrics<float>(
-      refs, qidx, result, cfg, result_rows, expected_epoch);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: packed kernel stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(
+      core::packed_kernel_entry<float>(refs, qidx, result, cfg, result_rows,
+                                       expected_epoch),
+      "gsknn: packed kernel stopped: ");
 }
 
 Status knn_kernel_status(PackedRefs& refs, std::span<const int> qidx,
                          NeighborTable& result, const KnnConfig& cfg,
                          std::span<const int> result_rows,
                          std::uint64_t expected_epoch) {
-  try {
-    return core::packed_kernel_with_metrics<double>(refs, qidx, result, cfg,
-                                                    result_rows,
-                                                    expected_epoch);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of([&] {
+    return core::packed_kernel_entry<double>(refs, qidx, result, cfg,
+                                             result_rows, expected_epoch);
+  });
 }
 
 Status knn_kernel_status(PackedRefsF& refs, std::span<const int> qidx,
                          NeighborTableF& result, const KnnConfig& cfg,
                          std::span<const int> result_rows,
                          std::uint64_t expected_epoch) {
-  try {
-    return core::packed_kernel_with_metrics<float>(refs, qidx, result, cfg,
-                                                   result_rows,
-                                                   expected_epoch);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of([&] {
+    return core::packed_kernel_entry<float>(refs, qidx, result, cfg,
+                                            result_rows, expected_epoch);
+  });
 }
 
 }  // namespace gsknn

@@ -17,6 +17,7 @@
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/macros.hpp"
 #include "gsknn/common/metrics.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 #include "micro.hpp"
 #include "pack.hpp"
 
@@ -50,12 +51,12 @@ Status PackedRefsT<T>::build(const PointTableT<T>& X, std::span<const int> ridx,
   core::MicroKernelT<T> mk;
   BlockingParams bp;
   SimdLevel chosen = cpu_features().best_level();
-  try {
+  const Status resolved = core::status_of([&] {
     core::resolve_kernel_and_blocking<T>(cpu_features().best_level(), cfg, mk,
                                          bp, chosen);
-  } catch (const StatusError& e) {
-    return e.status();
-  }
+    return Status::kOk;
+  });
+  if (resolved != Status::kOk) return resolved;
 
   const int table_n = X.size();
   for (const int id : ridx) {

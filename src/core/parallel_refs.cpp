@@ -17,11 +17,8 @@
 #include <vector>
 
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/pmu.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
-#include "gsknn/common/trace.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
 
@@ -71,15 +68,15 @@ Status parallel_refs_impl(const PointTableT<double>& X,
   }
 
   // Telemetry: concurrent workers must not share one sink, so each records
-  // into a private profile; the privates are merged into cfg.profile below
-  // and the end-to-end wall time replaces the summed per-worker walls. The
-  // trace sink (if any) IS shared — my_cfg copies it from cfg — because its
-  // per-thread rings make concurrent recording safe, giving one unified
-  // timeline across the worker kernels and the merge.
+  // into a private profile; the privates are merged into `combined` and the
+  // merge phase is recorded on top of them, with the end-to-end wall time
+  // replacing the summed per-worker walls. The trace sink (if any) IS
+  // shared — my_cfg copies it from cfg — because its per-thread rings make
+  // concurrent recording safe, giving one unified timeline across the
+  // worker kernels and the merge.
   const bool prof = (cfg.profile != nullptr);
-  const bool pmu_on = prof && telemetry::pmu_available();
-  telemetry::TraceSink* const trace = cfg.trace;
-  WallTimer wall_timer;
+  telemetry::KernelProfile combined;
+  telemetry::Recorder rec(prof ? &combined : nullptr, threads);
   std::vector<telemetry::KernelProfile> wprof(
       prof ? static_cast<std::size_t>(threads) : 0);
   std::vector<Status> wstat(static_cast<std::size_t>(threads), Status::kOk);
@@ -110,21 +107,15 @@ Status parallel_refs_impl(const PointTableT<double>& X,
     if (s != Status::kOk) return s;  // merge skipped; result untouched
   }
 
-  WallTimer merge_timer;
-  if (prof) merge_timer.start();
-  telemetry::PmuCounts merge_pmu;
   // Parallel merge: each query row is owned by one iteration, so inserting
   // every private candidate into the caller's row is race-free. Written as
-  // parallel + for-nowait so each worker brackets its own chunk with PMU
-  // reads and a trace span.
+  // parallel + for-nowait so each worker brackets its own chunk.
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp parallel num_threads(threads)
 #endif
   {
-    telemetry::PmuCounts w0;
-    std::uint64_t wt0 = 0;
-    if (pmu_on) telemetry::PmuGroup::this_thread().read(w0);
-    if (trace != nullptr) wt0 = telemetry::trace_now();
+    telemetry::PhaseScope merge(telemetry::Phase::kMerge,
+                                rec.slot(thread_id()), cfg.trace);
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
@@ -148,41 +139,17 @@ Status parallel_refs_impl(const PointTableT<double>& X,
       // completion flag left by an earlier interrupted call on this table.
       result.mark_row_complete(row);
     }
-    if (trace != nullptr) {
-      trace->record(telemetry::Phase::kMerge, wt0, telemetry::trace_now());
-    }
-    if (pmu_on) {
-      telemetry::PmuCounts w1;
-      if (telemetry::PmuGroup::this_thread().read(w1)) {
-        const telemetry::PmuCounts delta = w1.delta_since(w0);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp critical(gsknn_merge_pmu)
-#endif
-        merge_pmu.accumulate(delta);
-      }
-    }
   }
 
   if (prof) {
-    const double merge_secs = merge_timer.seconds();
-    telemetry::KernelProfile combined;
-    for (const auto& wp : wprof) combined.merge(wp);
     // Workers ran concurrently: the summed worker walls overstate elapsed
-    // time, so report the region's actual wall and keep the summed phase
+    // time, so report the call's actual wall and keep the summed phase
     // attribution (phase_seconds becomes total busy time across workers —
     // per-phase critical paths are not defined for task parallelism).
-    combined.wall_seconds = wall_timer.seconds();
-    combined.phase_seconds[static_cast<int>(telemetry::Phase::kMerge)] +=
-        merge_secs;
-    combined.phase_thread_seconds[static_cast<int>(telemetry::Phase::kMerge)] +=
-        merge_secs;
-    if (pmu_on) {
-      for (int e = 0; e < telemetry::kPmuEventCount; ++e) {
-        combined.phase_pmu[static_cast<int>(telemetry::Phase::kMerge)][e] +=
-            merge_pmu.v[e];
-      }
-      combined.pmu_enabled = true;
-    }
+    for (const auto& wp : wprof) combined.merge(wp);
+    combined.wall_seconds = 0.0;
+    rec.aggregate();
+    combined.pmu_enabled = combined.pmu_enabled || telemetry::pmu_available();
     combined.algorithm = "gsknn_parallel_refs";
     combined.m = m;
     combined.n = n;
@@ -196,20 +163,30 @@ Status parallel_refs_impl(const PointTableT<double>& X,
 
 }  // namespace
 
+namespace {
+
+Status parallel_refs_entry(const PointTableT<double>& X,
+                           std::span<const int> qidx,
+                           std::span<const int> ridx, NeighborTable& result,
+                           const KnnConfig& cfg,
+                           std::span<const int> result_rows) {
+  return core::record_entry_status(
+      metrics::EntryPoint::kParallelRefs, static_cast<int>(qidx.size()),
+      static_cast<int>(ridx.size()), X.dim(), result.k(), [&] {
+        return parallel_refs_impl(X, qidx, ridx, result, cfg, result_rows);
+      });
+}
+
+}  // namespace
+
 void knn_kernel_parallel_refs(const PointTableT<double>& X,
                               std::span<const int> qidx,
                               std::span<const int> ridx,
                               NeighborTable& result, const KnnConfig& cfg,
                               std::span<const int> result_rows) {
-  const Status s = core::record_entry_status(
-      metrics::EntryPoint::kParallelRefs, static_cast<int>(qidx.size()),
-      static_cast<int>(ridx.size()), X.dim(), result.k(),
-      [&] { return parallel_refs_impl(X, qidx, ridx, result, cfg,
-                                      result_rows); });
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: parallel_refs stopped: ") +
-                             status_name(s));
-  }
+  core::throw_unless_ok(
+      parallel_refs_entry(X, qidx, ridx, result, cfg, result_rows),
+      "gsknn: parallel_refs stopped: ");
 }
 
 Status knn_kernel_parallel_refs_status(const PointTableT<double>& X,
@@ -218,17 +195,9 @@ Status knn_kernel_parallel_refs_status(const PointTableT<double>& X,
                                        NeighborTable& result,
                                        const KnnConfig& cfg,
                                        std::span<const int> result_rows) {
-  try {
-    return core::record_entry_status(
-        metrics::EntryPoint::kParallelRefs, static_cast<int>(qidx.size()),
-        static_cast<int>(ridx.size()), X.dim(), result.k(),
-        [&] { return parallel_refs_impl(X, qidx, ridx, result, cfg,
-                                        result_rows); });
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::status_of([&] {
+    return parallel_refs_entry(X, qidx, ridx, result, cfg, result_rows);
+  });
 }
 
 }  // namespace gsknn

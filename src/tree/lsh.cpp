@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gsknn/common/metrics.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/common/rng.hpp"
 #include "gsknn/common/timer.hpp"
 
@@ -119,21 +119,14 @@ AllNnResult lsh_impl(const PointTable& X, int k, const LshConfig& cfg) {
 
 AllNnResult lsh_all_nearest_neighbors(const PointTable& X, int k,
                                       const LshConfig& cfg) {
-  // Same inline bracket as the rkd solver: the Status rides in the result.
-  if (!metrics::enabled()) return lsh_impl(X, k, cfg);
-  const std::uint64_t t0 = metrics::now_ns();
-  try {
-    AllNnResult out = lsh_impl(X, k, cfg);
-    metrics::record_call(metrics::EntryPoint::kLsh,
-                         static_cast<int>(out.status), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    return out;
-  } catch (const StatusError& e) {
-    metrics::record_call(metrics::EntryPoint::kLsh,
-                         static_cast<int>(e.status()), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    throw;
-  }
+  // Same bracket as the rkd solver: the Status rides in the result.
+  AllNnResult out;
+  core::record_entry_status(metrics::EntryPoint::kLsh, X.size(), X.size(),
+                            X.dim(), k, [&] {
+                              out = lsh_impl(X, k, cfg);
+                              return out.status;
+                            });
+  return out;
 }
 
 }  // namespace gsknn::tree

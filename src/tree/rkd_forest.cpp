@@ -7,7 +7,7 @@
 #include <numeric>
 #include <unordered_set>
 
-#include "gsknn/common/metrics.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/common/rng.hpp"
 #include "gsknn/common/timer.hpp"
 #include "gsknn/core/packed_refs.hpp"
@@ -214,22 +214,14 @@ AllNnResult all_nn_impl(const PointTable& X, int k, const RkdConfig& cfg) {
 AllNnResult all_nearest_neighbors(const PointTable& X, int k,
                                   const RkdConfig& cfg) {
   // The solver reports governance statuses in the result rather than by
-  // throwing (config errors aside), so the metrics bracket is inline here
-  // instead of going through core::record_entry.
-  if (!metrics::enabled()) return all_nn_impl(X, k, cfg);
-  const std::uint64_t t0 = metrics::now_ns();
-  try {
-    AllNnResult out = all_nn_impl(X, k, cfg);
-    metrics::record_call(metrics::EntryPoint::kRkdForest,
-                         static_cast<int>(out.status), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    return out;
-  } catch (const StatusError& e) {
-    metrics::record_call(metrics::EntryPoint::kRkdForest,
-                         static_cast<int>(e.status()), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    throw;
-  }
+  // throwing (config errors aside): the entry bracket records that status.
+  AllNnResult out;
+  core::record_entry_status(metrics::EntryPoint::kRkdForest, X.size(),
+                            X.size(), X.dim(), k, [&] {
+                              out = all_nn_impl(X, k, cfg);
+                              return out.status;
+                            });
+  return out;
 }
 
 double recall_at_k(const PointTable& X, const NeighborTable& approx, int k,

@@ -16,6 +16,9 @@
 #include <vector>
 
 #include "gsknn/common/metrics.hpp"
+#include "gsknn/data/generators.hpp"
+#include "gsknn/tree/lsh.hpp"
+#include "gsknn/tree/rkd_forest.hpp"
 
 namespace fr = gsknn::flightrec;
 
@@ -181,6 +184,46 @@ TEST_F(FlightRecTest, KindNamesAreStable) {
   EXPECT_STREQ(fr::kind_name(fr::Kind::kPackUpdate), "pack_update");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kStaleReject), "stale_reject");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kFault), "fault");
+}
+
+// The tree solvers run through the same entry bracket as the kernels: one
+// call_begin/call_end pair under their own entry point, whether or not the
+// aggregate metrics are armed.
+void expect_bracketed(gsknn::metrics::EntryPoint ep) {
+  int begins = 0, ends = 0;
+  for (const fr::Event& ev : fr::drain()) {
+    if (ev.entry != static_cast<int>(ep)) continue;
+    begins += ev.kind == fr::Kind::kCallBegin;
+    if (ev.kind == fr::Kind::kCallEnd) {
+      ++ends;
+      EXPECT_EQ(ev.status, 0);
+    }
+  }
+  EXPECT_EQ(begins, 1);
+  EXPECT_EQ(ends, 1);
+}
+
+TEST_F(FlightRecTest, TreeSolversRecordCallPairs) {
+  const bool metrics_were = gsknn::metrics::enabled();
+  gsknn::metrics::set_enabled(false);
+  const gsknn::PointTable X = gsknn::make_uniform(8, 300, 46);
+
+  gsknn::tree::RkdConfig rcfg;
+  rcfg.leaf_size = 64;
+  rcfg.num_trees = 2;
+  const gsknn::tree::AllNnResult rkd =
+      gsknn::tree::all_nearest_neighbors(X, 4, rcfg);
+  EXPECT_EQ(rkd.status, gsknn::Status::kOk);
+  expect_bracketed(gsknn::metrics::EntryPoint::kRkdForest);
+
+  fr::clear();
+  gsknn::tree::LshConfig lcfg;
+  lcfg.tables = 2;
+  const gsknn::tree::AllNnResult lsh =
+      gsknn::tree::lsh_all_nearest_neighbors(X, 4, lcfg);
+  EXPECT_EQ(lsh.status, gsknn::Status::kOk);
+  expect_bracketed(gsknn::metrics::EntryPoint::kLsh);
+  gsknn::metrics::set_enabled(metrics_were);
 }
 
 TEST_F(FlightRecTest, WriterStormWithConcurrentDrains) {

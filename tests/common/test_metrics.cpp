@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "gsknn/core/knn.hpp"
+#include "gsknn/core/packed_refs.hpp"
 #include "gsknn/data/generators.hpp"
 
 namespace gsknn {
@@ -218,6 +219,53 @@ TEST_F(MetricsTest, KernelEntryPointsPopulateRegistryBothPrecisions) {
   // Shape histograms saw m = n = 128, d = 8, k = 4 from both calls.
   EXPECT_EQ(s.shape_sum[2], 16u);
   EXPECT_EQ(s.shape_sum[3], 8u);
+}
+
+// The entry bracket's on-success hook: exactly one model-drift sample per
+// clean cold call, none for warm calls (the §2.6 model prices a pack phase
+// the warm path skips) and none for a stale-epoch reject.
+TEST_F(MetricsTest, ColdCallRecordsExactlyOneDriftSample) {
+  const PointTable X = make_uniform(8, 96, 43);
+  std::vector<int> ids(96);
+  for (int i = 0; i < 96; ++i) ids[i] = i;
+  NeighborTable out(96, 4);
+  knn_kernel(X, ids, ids, out, {});
+  const m::MetricsSnapshot s = m::snapshot();
+  EXPECT_EQ(s.calls[static_cast<int>(m::EntryPoint::kKernelF64)][0], 1u);
+  EXPECT_EQ(s.drift_count(0), 1u);
+  EXPECT_EQ(s.drift_count(1), 0u);
+}
+
+TEST_F(MetricsTest, WarmCallRecordsOneCallSampleAndNoDrift) {
+  const PointTable X = make_uniform(8, 96, 44);
+  std::vector<int> ids(96);
+  for (int i = 0; i < 96; ++i) ids[i] = i;
+  PackedRefs refs;
+  ASSERT_EQ(refs.build(X, ids, {}), Status::kOk);
+  m::reset();
+  NeighborTable out(96, 4);
+  knn_kernel(refs, ids, out, {});
+  const m::MetricsSnapshot s = m::snapshot();
+  EXPECT_EQ(s.calls[static_cast<int>(m::EntryPoint::kKernelF64)][0], 1u);
+  EXPECT_EQ(s.drift_count(0), 0u);
+}
+
+TEST_F(MetricsTest, StaleWarmCallRecordsStaleAndNoDrift) {
+  const PointTable X = make_uniform(8, 64, 45);
+  std::vector<int> ids(64);
+  for (int i = 0; i < 64; ++i) ids[i] = i;
+  PackedRefs refs;
+  ASSERT_EQ(refs.build(X, ids, {}), Status::kOk);
+  m::reset();
+  NeighborTable out(64, 4);
+  EXPECT_EQ(knn_kernel_status(refs, ids, out, {}, {}, refs.epoch() + 1),
+            Status::kStale);
+  const m::MetricsSnapshot s = m::snapshot();
+  EXPECT_EQ(s.calls[static_cast<int>(m::EntryPoint::kKernelF64)]
+                   [static_cast<int>(Status::kStale)],
+            1u);
+  EXPECT_EQ(s.calls[static_cast<int>(m::EntryPoint::kKernelF64)][0], 0u);
+  EXPECT_EQ(s.drift_count(0), 0u);
 }
 
 TEST_F(MetricsTest, ThrownStatusErrorIsRecordedWithItsStatus) {

@@ -15,11 +15,14 @@
 // must hold to the last unit, for every variant, precision and thread count.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "gsknn/common/arch.hpp"
 #include "gsknn/common/telemetry.hpp"
+#include "gsknn/common/trace.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/generators.hpp"
 #include "test_util.hpp"
@@ -131,6 +134,111 @@ INSTANTIATE_TEST_SUITE_P(
                       VariantCase{Variant::kVar5, 4},
                       VariantCase{Variant::kVar6, 1},
                       VariantCase{Variant::kVar6, 4}),
+    [](const ::testing::TestParamInfo<VariantCase>& tpi) {
+      const int v = static_cast<int>(tpi.param.variant);
+      return "Var" + std::to_string(v < 4 ? v : v + 1) + "Threads" +
+             std::to_string(tpi.param.threads);
+    });
+
+// Phase attribution, pinned per variant and thread count with a profile and
+// a trace sink attached: selection time and `select` spans appear iff the
+// variant materializes distances (not Var#1), the attributed phases fit in
+// the wall, the reference side is packed once per (jc, pc) slab, and Var#2's
+// per-sliver selections sit inside the micro span they are carved out of.
+struct TracedSpan {
+  std::string name;
+  double ts = 0.0;
+  double dur = 0.0;
+  int tid = -1;
+};
+
+std::vector<TracedSpan> parse_spans(const std::string& json) {
+  std::vector<TracedSpan> out;
+  for (std::size_t at = json.find("{\"name\":\""); at != std::string::npos;
+       at = json.find("{\"name\":\"", at + 1)) {
+    char name[32] = {};
+    TracedSpan s;
+    if (std::sscanf(json.c_str() + at,
+                    "{\"name\":\"%31[^\"]\",\"cat\":\"gsknn\",\"ph\":\"X\","
+                    "\"ts\":%lf,\"dur\":%lf,\"pid\":1,\"tid\":%d",
+                    name, &s.ts, &s.dur, &s.tid) == 4) {
+      s.name = name;
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+class TelemetryAttribution : public ::testing::TestWithParam<VariantCase> {};
+
+TEST_P(TelemetryAttribution, PhasesAndSpansMatchTheVariant) {
+  const auto [variant, threads] = GetParam();
+  const int m = 96, n = 300, d = 40, k = 8;
+  const PointTable X = make_uniform(d, m + n, 0xA771);
+  // Small nc/dc so the call walks several reference panels and depth blocks.
+  BlockingParams bp = default_blocking(cpu_features().best_level());
+  bp.nc = 16 * bp.nr;
+  bp.dc = 16;
+
+  KernelProfile prof;
+  telemetry::TraceSink trace(256);
+  KnnConfig cfg;
+  cfg.variant = variant;
+  cfg.threads = threads;
+  cfg.blocking = bp;
+  cfg.profile = &prof;
+  cfg.trace = &trace;
+  NeighborTable t(m, k);
+  knn_kernel(X, iota_ids(m), iota_ids(n, m), t, cfg);
+
+  const bool selects = variant != Variant::kVar1;
+  EXPECT_EQ(prof.phase(Phase::kSelect) > 0.0, selects);
+  EXPECT_LE(prof.phase_total(), prof.wall_seconds * 1.0001 + 1e-6);
+
+  const std::vector<TracedSpan> spans = parse_spans(trace.to_json());
+  ASSERT_EQ(spans.size(), trace.span_count());
+  int pack_r = 0, select = 0;
+  for (const TracedSpan& s : spans) {
+    pack_r += s.name == "pack_r";
+    select += s.name == "select";
+  }
+  EXPECT_EQ(select > 0, selects);
+  if (threads == 1) {
+    const int panels = (n + prof.blocking.nc - 1) / prof.blocking.nc;
+    const int depths = (d + prof.blocking.dc - 1) / prof.blocking.dc;
+    EXPECT_EQ(pack_r, panels * depths);
+  }
+  if (variant == Variant::kVar2) {
+    // Timestamps print at 1 ns resolution: allow two rounding steps.
+    const double eps = 2e-3;
+    for (const TracedSpan& s : spans) {
+      if (s.name != "select") continue;
+      bool nested = false;
+      for (const TracedSpan& mu : spans) {
+        if (mu.name == "micro" && mu.tid == s.tid && s.ts >= mu.ts - eps &&
+            s.ts + s.dur <= mu.ts + mu.dur + eps) {
+          nested = true;
+          break;
+        }
+      }
+      EXPECT_TRUE(nested) << "select span at ts=" << s.ts << " on track "
+                          << s.tid << " is outside every micro span";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, TelemetryAttribution,
+    ::testing::Values(VariantCase{Variant::kVar1, 1},
+                      VariantCase{Variant::kVar1, 3},
+                      VariantCase{Variant::kVar2, 1},
+                      VariantCase{Variant::kVar2, 3},
+                      VariantCase{Variant::kVar3, 1},
+                      VariantCase{Variant::kVar3, 3},
+                      VariantCase{Variant::kVar5, 1},
+                      VariantCase{Variant::kVar5, 3},
+                      VariantCase{Variant::kVar6, 1},
+                      VariantCase{Variant::kVar6, 3}),
     [](const ::testing::TestParamInfo<VariantCase>& tpi) {
       const int v = static_cast<int>(tpi.param.variant);
       return "Var" + std::to_string(v < 4 ? v : v + 1) + "Threads" +
@@ -413,7 +521,7 @@ TEST(TelemetryHotPaths, BatchedSelectionCountersExactFloat) {
 TEST(Telemetry, InactiveRecorderIsNoop) {
   telemetry::Recorder rec(nullptr, 8);
   EXPECT_FALSE(rec.active());
-  rec.aggregate(1.0);  // must not crash or write anywhere
+  rec.aggregate();  // must not crash or write anywhere
 }
 
 }  // namespace
