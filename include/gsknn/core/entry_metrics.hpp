@@ -5,8 +5,10 @@
 // throwing, plus a call_begin/call_end event pair in the recorder. Every
 // public entry point runs through record_entry_status — the kernels,
 // baselines, batch, parallel_refs and the tree solvers — and its `_status`
-// and throwing faces through status_of / throw_unless_ok. Not part of the
-// public API.
+// and throwing faces through status_of / throw_unless_ok. Also the two
+// call-level decisions every driver shares: the stop poll (poll_stop) and
+// the §2.6 price of a call (predicted_call_seconds). Not part of the public
+// API.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +16,46 @@
 #include <string>
 #include <utility>
 
+#include "gsknn/common/fault.hpp"
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/metrics.hpp"
 #include "gsknn/core/knn.hpp"
+#include "gsknn/model/perf_model.hpp"
 
 namespace gsknn::core {
+
+/// True when a call has anything to poll for: a cancel token, a deadline,
+/// or armed fault injection. Drivers skip poll_stop entirely otherwise.
+inline bool stop_governed(const KnnConfig& cfg) {
+  return cfg.cancel != nullptr || cfg.deadline.has_value() || fault::active();
+}
+
+/// The one stop poll, run at block, task and leaf boundaries. Precedence:
+/// an injected cancel (only while fault injection is armed), then the
+/// cancel token, then the deadline. kOk when nothing fired.
+inline Status poll_stop(const KnnConfig& cfg) {
+  if (fault::active() && fault::inject_cancel()) return Status::kCancelled;
+  if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
+    return Status::kCancelled;
+  }
+  if (cfg.deadline.has_value() && deadline_expired(*cfg.deadline)) {
+    return Status::kDeadlineExceeded;
+  }
+  return Status::kOk;
+}
+
+/// The §2.6 model's runtime estimate for one m×n×d×k call under `cfg`
+/// (variant) and `bp` (blocking): Var#1 is priced as Var#1, every other
+/// variant as Var#6.
+inline double predicted_call_seconds(int m, int n, int d, int k,
+                                     const KnnConfig& cfg,
+                                     const BlockingParams& bp) {
+  static const model::MachineParams mp{};
+  const Variant v = resolve_variant(m, n, d, k, cfg);
+  return model::predicted_time(
+      v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
+      model::ProblemShape{m, n, d, k}, mp, bp);
+}
 
 /// One finished-call sample into both sinks; returns the end-of-call
 /// now_ns() so an on-success hook can place its own sample in the same

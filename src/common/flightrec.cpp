@@ -153,7 +153,7 @@ std::size_t fmt_u64(char* buf, std::uint64_t v) {
 
 struct FdWriter {
   int fd;
-  char buf[512];
+  char buf[512] = {};
   std::size_t len = 0;
 
   void flush() {

@@ -554,9 +554,9 @@ std::uint64_t MetricsSnapshot::window_errors() const {
 }
 
 double MetricsSnapshot::window_error_rate() const {
-  const std::uint64_t calls = window_calls();
-  if (calls == 0) return 0.0;
-  return static_cast<double>(window_errors()) / static_cast<double>(calls);
+  const std::uint64_t total = window_calls();
+  if (total == 0) return 0.0;
+  return static_cast<double>(window_errors()) / static_cast<double>(total);
 }
 
 std::uint64_t MetricsSnapshot::window_latency_quantile_ns(double q) const {

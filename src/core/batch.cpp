@@ -1,27 +1,28 @@
-// Task-parallel batch driver (§2.5).
-//
-// Many independent small kernels (one per tree leaf in the approximate
-// solvers) rarely expose enough intra-kernel parallelism, so the paper
-// schedules whole kernels across cores instead: estimate each kernel's
-// runtime with the §2.6 model, sort descending, and greedily assign to the
-// least-loaded processor (first-termination / LPT list scheduling).
+// Task-parallel batch driver (§2.5). Many small independent kernels (one
+// per tree leaf in the approximate solvers) rarely expose enough
+// intra-kernel parallelism, so whole kernels are scheduled across cores:
+// estimate each with the §2.6 model, sort descending, and assign greedily to
+// the least-loaded worker (first-termination / LPT list scheduling). One
+// scheduler serves both task forms through a reference source: cold tasks
+// bring their own ridx and run the cold kernel; packed tasks share one
+// PackedRefs snapshot and run the warm kernel, so a block is packed at most
+// once across the whole batch (pin counts make concurrent leases safe).
 //
 // Governance: cancellation/deadline is polled between tasks (and inside
 // each task kernel, at its block boundaries); on a stop, not-yet-started
 // tasks are skipped with their result rows flagged incomplete. Tasks that
 // share one NeighborTable must target disjoint rows — overlap is rejected
 // up front (it would be a silent data race between workers).
+#include <algorithm>
 #include <atomic>
 #include <climits>
-#include <new>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "gsknn/common/fault.hpp"
 #include "gsknn/common/metrics.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/core/packed_refs.hpp"
@@ -34,7 +35,8 @@ namespace {
 /// Flag every result row a task owns as incomplete (skipped/starved tasks).
 /// Disjointness of rows across tasks sharing a table (validated below) makes
 /// concurrent marking from several workers race-free — distinct bytes.
-void mark_task_incomplete(const KnnTask& task) {
+template <typename Task>
+void mark_task_incomplete(const Task& task) {
   if (!task.result_rows.empty()) {
     for (const int r : task.result_rows) task.result->mark_row_incomplete(r);
   } else {
@@ -43,42 +45,74 @@ void mark_task_incomplete(const KnnTask& task) {
   }
 }
 
-void mark_task_incomplete(const PackedKnnTask& task) {
-  if (!task.result_rows.empty()) {
-    for (const int r : task.result_rows) task.result->mark_row_incomplete(r);
-  } else {
-    const int mq = static_cast<int>(task.qidx.size());
-    for (int i = 0; i < mq; ++i) task.result->mark_row_incomplete(i);
-  }
-}
+/// Cold reference source: each task's own ridx, run by the cold kernel.
+/// `blocking` is what the LPT estimates price; cold tasks have no epoch.
+struct ColdSource {
+  const PointTable& X;
+  BlockingParams blocking;
+  bool stale = false;
 
-Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
-                      int k, const KnnConfig& cfg) {
+  std::span<const int> ridx(const KnnTask& task) const { return task.ridx; }
+  Status run(const KnnTask& task, const KnnConfig& cfg) const {
+    return knn_kernel_status(X, task.qidx, task.ridx, *task.result, cfg,
+                             task.result_rows);
+  }
+};
+
+/// Packed reference source: one atomic (id list, epoch) capture for the
+/// whole batch, so validation, scheduling and every task kernel run against
+/// one generation, immune to a concurrent insert()/erase() swapping the
+/// list mid-batch. kEpochAny resolves to the captured epoch, and every task
+/// kernel pins its blocks against it: an update racing the batch stops the
+/// affected tasks with a clean kStale (rows flagged incomplete) instead of
+/// mixing generations.
+struct PackedSource {
+  PackedSource(PackedRefs& r, std::uint64_t expected_epoch)
+      : refs(r),
+        X(*r.table()),
+        snap(r.snapshot()),
+        blocking(r.blocking()),
+        stale(expected_epoch != kEpochAny && expected_epoch != snap.epoch) {}
+
+  std::span<const int> ridx(const PackedKnnTask&) const { return *snap.ids; }
+  Status run(const PackedKnnTask& task, const KnnConfig& cfg) const {
+    return knn_kernel_status(refs, task.qidx, *task.result, cfg,
+                             task.result_rows, snap.epoch);
+  }
+
+  PackedRefs& refs;
+  const PointTable& X;
+  const PackedRefs::Snapshot snap;
+  const BlockingParams blocking;
+  const bool stale;  ///< the batch-level epoch handshake failed
+};
+
+/// The one batch scheduler; `src` is a ColdSource or a PackedSource.
+template <typename Task, typename Source>
+Status run_batch(std::span<const Task> tasks, int k, const KnnConfig& cfg,
+                 const Source& src) {
   const int t = static_cast<int>(tasks.size());
   if (t == 0) return Status::kOk;
   const int p = resolve_threads(cfg.threads);
+  const PointTable& X = src.X;
 
   // Validate every task before the OpenMP region (a worker-side StatusError
   // could not propagate out of #pragma omp parallel). One bad task fails the
-  // whole batch up front, before any task has run.
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
+  // whole batch up front, before any task has run. Tasks may share a
+  // NeighborTable only on disjoint rows (the tree solvers' global-table
+  // pattern): overlap would let two concurrent workers sift the same heap,
+  // so it is rejected here, once check_knn_args has bounds-checked the row
+  // list. A task without result_rows owns rows [0, m) of its table.
+  for (const Task& task : tasks) {
     if (task.result == nullptr) {
       throw StatusError(Status::kInvalidArgument,
                         "gsknn: batch task has a null result table");
     }
-    check_knn_args(X, task.qidx, task.ridx, *task.result, cfg,
+    check_knn_args(X, task.qidx, src.ridx(task), *task.result, cfg,
                    task.result_rows);
   }
-
-  // Tasks may share a NeighborTable only on disjoint rows (the tree solvers'
-  // global-table pattern). Overlap would let two concurrent workers sift the
-  // same heap — a silent race — so reject it here, where check_knn_args has
-  // already bounds-checked every row list. A task without result_rows owns
-  // rows [0, m) of its table.
   std::unordered_map<const NeighborTable*, std::vector<unsigned char>> used;
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
+  for (const Task& task : tasks) {
     auto& rows_used = used[task.result];
     if (rows_used.empty()) {
       rows_used.assign(static_cast<std::size_t>(task.result->rows()), 0);
@@ -97,49 +131,39 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
       rows_used[static_cast<std::size_t>(r)] = 1;
     }
   }
+  // Epoch handshake, after validation and before any task runs: a stale
+  // batch touches nothing.
+  if (src.stale) return Status::kStale;
 
-  // Estimate per-task runtimes with the performance model.
-  static const model::MachineParams mp{};
-  const BlockingParams bp =
-      cfg.blocking.value_or(default_blocking(cpu_features().best_level()));
+  // LPT scheduling over the per-task model estimates.
   std::vector<double> est(static_cast<std::size_t>(t));
   for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    const model::ProblemShape s{static_cast<int>(task.qidx.size()),
-                                static_cast<int>(task.ridx.size()), X.dim(),
-                                k};
-    const Variant v = resolve_variant(s.m, s.n, s.d, s.k, cfg);
-    est[static_cast<std::size_t>(i)] = model::predicted_time(
-        v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6, s,
-        mp, bp);
+    const Task& task = tasks[static_cast<std::size_t>(i)];
+    est[static_cast<std::size_t>(i)] = core::predicted_call_seconds(
+        static_cast<int>(task.qidx.size()),
+        static_cast<int>(src.ridx(task).size()), X.dim(), k, cfg,
+        src.blocking);
   }
-
   const std::vector<int> assignment = model::schedule_lpt(est, p);
 
-  // Telemetry: per-worker private profiles (workers run concurrently and
-  // must not share the caller's sink), merged after the region.
-  const bool prof = (cfg.profile != nullptr);
-  WallTimer wall_timer;
+  // Telemetry: per-worker private profiles (concurrent workers must not
+  // share the caller's sink), merged after the region under one recorder.
+  telemetry::KernelProfile combined;
+  telemetry::Recorder rec(cfg.profile != nullptr ? &combined : nullptr, 1);
   std::vector<telemetry::KernelProfile> wprof(
-      prof ? static_cast<std::size_t>(p) : 0);
+      rec.active() ? static_cast<std::size_t>(p) : 0);
 
   // Batch-level stop: first pressure status wins; once set, every worker
   // skips its remaining tasks (flagging their rows). The task kernels poll
   // the same token/deadline at their own block boundaries, so an in-flight
   // task stops at block granularity, not task granularity.
   std::atomic<int> stop{0};
-  const bool governed =
-      cfg.cancel != nullptr || cfg.deadline.has_value() || fault::active();
-  const auto poll_status = [&cfg]() {
-    if (fault::active() && fault::inject_cancel()) return Status::kCancelled;
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      return Status::kCancelled;
-    }
-    if (cfg.deadline.has_value() && deadline_expired(*cfg.deadline)) {
-      return Status::kDeadlineExceeded;
-    }
-    return Status::kOk;
+  const auto raise = [&stop](Status s) {
+    int expected = 0;
+    stop.compare_exchange_strong(expected, static_cast<int>(s),
+                                 std::memory_order_relaxed);
   };
+  const bool governed = core::stop_governed(cfg);
 
   // Each worker executes its tasks sequentially; kernels run single-threaded.
   // task_cfg copies cfg wholesale, so a TraceSink on cfg.trace is shared by
@@ -159,52 +183,45 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
     // smaller (nested parallelism with max-active-levels, runtime caps).
     // Fold the absent workers' queues onto live threads — owner % nt — so
     // every task runs exactly once; with a full team the fold is the
-    // identity and the schedule is untouched. Before this remap, tasks
-    // assigned to absent workers silently never ran and their result rows
-    // were reported complete while holding stale sentinels.
+    // identity and the schedule is untouched.
     const int nt = team_size();
     KnnConfig my_cfg = task_cfg;
-    my_cfg.profile = prof ? &wprof[static_cast<std::size_t>(tid)] : nullptr;
+    my_cfg.profile =
+        rec.active() ? &wprof[static_cast<std::size_t>(tid)] : nullptr;
     for (int i = 0; i < t; ++i) {
       if (assignment[static_cast<std::size_t>(i)] % nt != tid) continue;
-      const auto& task = tasks[static_cast<std::size_t>(i)];
+      const Task& task = tasks[static_cast<std::size_t>(i)];
       if (stop.load(std::memory_order_relaxed) != 0) {
         mark_task_incomplete(task);
         continue;
       }
-      if (governed) {
-        const Status ps = poll_status();
-        if (ps != Status::kOk) {
-          int expected = 0;
-          stop.compare_exchange_strong(expected, static_cast<int>(ps),
-                                       std::memory_order_relaxed);
-          mark_task_incomplete(task);
-          continue;
-        }
+      const Status ps = governed ? core::poll_stop(cfg) : Status::kOk;
+      if (ps != Status::kOk) {
+        raise(ps);
+        mark_task_incomplete(task);
+        continue;
       }
-      const Status s = knn_kernel_status(X, task.qidx, task.ridx,
-                                         *task.result, my_cfg,
-                                         task.result_rows);
+      const Status s = src.run(task, my_cfg);
       if (s != Status::kOk) {
         // kCancelled/kDeadlineExceeded already flagged the rows the kernel
-        // could not finish; exhaustion/internal left rows untouched and
-        // unflagged, so flag the whole task.
+        // could not finish; after any other failure flag the whole task.
         if (s != Status::kCancelled && s != Status::kDeadlineExceeded) {
           mark_task_incomplete(task);
         }
-        int expected = 0;
-        stop.compare_exchange_strong(expected, static_cast<int>(s),
-                                     std::memory_order_relaxed);
+        raise(s);
       }
     }
   }
 
-  if (prof) {
-    telemetry::KernelProfile combined;
+  if (rec.active()) {
+    // As with parallel_refs: report the batch's elapsed wall, not the summed
+    // task walls; the summed phases are total busy time across all task
+    // kernels, and each task kernel stays one invocation.
     for (const auto& wp : wprof) combined.merge(wp);
-    // As with parallel_refs: report the batch's real elapsed time; the
-    // summed phases are total busy time across all task kernels.
-    combined.wall_seconds = wall_timer.seconds();
+    const std::uint64_t task_calls = combined.invocations;
+    combined.wall_seconds = 0.0;
+    rec.aggregate();
+    combined.invocations = task_calls;
     combined.algorithm = "gsknn_batch";
     combined.threads = p;
     cfg.profile->merge(combined);
@@ -212,204 +229,50 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
   return static_cast<Status>(stop.load(std::memory_order_acquire));
 }
 
-/// Packed batch: same LPT scheduling and governance as knn_batch_impl, but
-/// every task queries one shared PackedRefs cache — workers run the warm
-/// single-threaded kernel, so a block is packed at most once across the
-/// whole batch (the cache's pin counts make concurrent leases safe) and
-/// repeat traffic moves zero packed reference bytes.
-Status knn_batch_packed_impl(PackedRefs& refs,
-                             std::span<const PackedKnnTask> tasks, int k,
-                             const KnnConfig& cfg,
-                             std::uint64_t expected_epoch) {
-  const int t = static_cast<int>(tasks.size());
-  if (!refs.built()) {
-    throw StatusError(Status::kInvalidArgument,
-                      "gsknn: PackedRefs::build() has not succeeded");
-  }
-  if (t == 0) return Status::kOk;
-  const int p = resolve_threads(cfg.threads);
-  const PointTable& X = *refs.table();
-  // One atomic (id list, epoch) capture for the whole batch: validation,
-  // scheduling and every task kernel run against this generation, immune to
-  // a concurrent insert()/erase() swapping the list mid-batch.
-  const PackedRefs::Snapshot snap = refs.snapshot();
-  const std::span<const int> ridx(*snap.ids);
-
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    if (task.result == nullptr) {
-      throw StatusError(Status::kInvalidArgument,
-                        "gsknn: batch task has a null result table");
-    }
-    check_knn_args(X, task.qidx, ridx, *task.result, cfg, task.result_rows);
-  }
-  // Batch-level epoch handshake, after validation and before any task runs:
-  // a stale batch touches nothing. kEpochAny resolves to the entry epoch
-  // here, and every task kernel pins its blocks against that resolved
-  // generation — an update racing the batch stops affected tasks with a
-  // clean kStale (rows flagged incomplete) instead of mixing generations.
-  if (expected_epoch != kEpochAny && expected_epoch != snap.epoch) {
-    return Status::kStale;
-  }
-  const std::uint64_t run_epoch = snap.epoch;
-
-  std::unordered_map<const NeighborTable*, std::vector<unsigned char>> used;
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    auto& rows_used = used[task.result];
-    if (rows_used.empty()) {
-      rows_used.assign(static_cast<std::size_t>(task.result->rows()), 0);
-    }
-    const int mq = static_cast<int>(task.qidx.size());
-    for (int qi = 0; qi < mq; ++qi) {
-      const int r = task.result_rows.empty()
-                        ? qi
-                        : task.result_rows[static_cast<std::size_t>(qi)];
-      if (rows_used[static_cast<std::size_t>(r)] != 0) {
-        throw StatusError(
-            Status::kInvalidArgument,
-            "gsknn: batch tasks write overlapping rows of a shared result "
-            "table");
-      }
-      rows_used[static_cast<std::size_t>(r)] = 1;
-    }
-  }
-
-  // LPT scheduling over the model estimates; every task shares n = |refs|,
-  // so the estimates differ only through m.
-  static const model::MachineParams mp{};
-  const BlockingParams bp = refs.blocking();
-  std::vector<double> est(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    const model::ProblemShape s{static_cast<int>(task.qidx.size()),
-                                static_cast<int>(ridx.size()), X.dim(), k};
-    const Variant v = resolve_variant(s.m, s.n, s.d, s.k, cfg);
-    est[static_cast<std::size_t>(i)] = model::predicted_time(
-        v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6, s,
-        mp, bp);
-  }
-  const std::vector<int> assignment = model::schedule_lpt(est, p);
-
-  const bool prof = (cfg.profile != nullptr);
-  WallTimer wall_timer;
-  std::vector<telemetry::KernelProfile> wprof(
-      prof ? static_cast<std::size_t>(p) : 0);
-
-  std::atomic<int> stop{0};
-  const bool governed =
-      cfg.cancel != nullptr || cfg.deadline.has_value() || fault::active();
-  const auto poll_status = [&cfg]() {
-    if (fault::active() && fault::inject_cancel()) return Status::kCancelled;
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      return Status::kCancelled;
-    }
-    if (cfg.deadline.has_value() && deadline_expired(*cfg.deadline)) {
-      return Status::kDeadlineExceeded;
-    }
-    return Status::kOk;
-  };
-
-  KnnConfig task_cfg = cfg;
-  task_cfg.threads = 1;
-  task_cfg.validate = false;
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(p)
-#endif
-  {
-    const int tid = thread_id();
-    // Same absent-worker fold as knn_batch_impl: the delivered team can be
-    // smaller than the p the LPT schedule targeted.
-    const int nt = team_size();
-    KnnConfig my_cfg = task_cfg;
-    my_cfg.profile = prof ? &wprof[static_cast<std::size_t>(tid)] : nullptr;
-    for (int i = 0; i < t; ++i) {
-      if (assignment[static_cast<std::size_t>(i)] % nt != tid) continue;
-      const auto& task = tasks[static_cast<std::size_t>(i)];
-      if (stop.load(std::memory_order_relaxed) != 0) {
-        mark_task_incomplete(task);
-        continue;
-      }
-      if (governed) {
-        const Status ps = poll_status();
-        if (ps != Status::kOk) {
-          int expected = 0;
-          stop.compare_exchange_strong(expected, static_cast<int>(ps),
-                                       std::memory_order_relaxed);
-          mark_task_incomplete(task);
-          continue;
-        }
-      }
-      const Status s = knn_kernel_status(refs, task.qidx, *task.result,
-                                         my_cfg, task.result_rows,
-                                         run_epoch);
-      if (s != Status::kOk) {
-        if (s != Status::kCancelled && s != Status::kDeadlineExceeded) {
-          mark_task_incomplete(task);
-        }
-        int expected = 0;
-        stop.compare_exchange_strong(expected, static_cast<int>(s),
-                                     std::memory_order_relaxed);
-      }
-    }
-  }
-
-  if (prof) {
-    telemetry::KernelProfile combined;
-    for (const auto& wp : wprof) combined.merge(wp);
-    combined.wall_seconds = wall_timer.seconds();
-    combined.algorithm = "gsknn_batch";
-    combined.threads = p;
-    cfg.profile->merge(combined);
-  }
-  return static_cast<Status>(stop.load(std::memory_order_acquire));
-}
-
-/// Batch-level shape for the aggregate metrics: queries/references summed
-/// across tasks (each task's kernel records its own exact shape too).
-void batch_totals(std::span<const KnnTask> tasks, int& m_total,
-                  int& n_total) {
+/// Batch-level shape for the aggregate metrics: queries and references
+/// summed across tasks, clamped to INT_MAX (each task's kernel records its
+/// own exact shape too).
+template <typename Task, typename RefCount>
+std::pair<int, int> batch_totals(std::span<const Task> tasks,
+                                 RefCount refs_of) {
   std::size_t m = 0, n = 0;
-  for (const KnnTask& t : tasks) {
+  for (const Task& t : tasks) {
     m += t.qidx.size();
-    n += t.ridx.size();
+    n += refs_of(t);
   }
-  m_total = m > static_cast<std::size_t>(INT_MAX) ? INT_MAX
-                                                  : static_cast<int>(m);
-  n_total = n > static_cast<std::size_t>(INT_MAX) ? INT_MAX
-                                                  : static_cast<int>(n);
-}
-
-void packed_batch_totals(const PackedRefs& refs,
-                         std::span<const PackedKnnTask> tasks, int& m_total,
-                         int& n_total) {
-  std::size_t m = 0;
-  for (const PackedKnnTask& t : tasks) m += t.qidx.size();
-  m_total = m > static_cast<std::size_t>(INT_MAX) ? INT_MAX
-                                                  : static_cast<int>(m);
-  const std::size_t n = tasks.size() * static_cast<std::size_t>(refs.size());
-  n_total = n > static_cast<std::size_t>(INT_MAX) ? INT_MAX
-                                                  : static_cast<int>(n);
+  const auto clamp = [](std::size_t v) {
+    return static_cast<int>(std::min<std::size_t>(v, INT_MAX));
+  };
+  return {clamp(m), clamp(n)};
 }
 
 Status batch_entry(const PointTable& X, std::span<const KnnTask> tasks, int k,
                    const KnnConfig& cfg) {
-  int m_total = 0, n_total = 0;
-  batch_totals(tasks, m_total, n_total);
+  const auto totals = batch_totals(
+      tasks, [](const KnnTask& t) { return t.ridx.size(); });
   return core::record_entry_status(
-      metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
-      [&] { return knn_batch_impl(X, tasks, k, cfg); });
+      metrics::EntryPoint::kBatch, totals.first, totals.second, X.dim(), k,
+      [&] {
+        const ColdSource src{X, cfg.blocking.value_or(default_blocking(
+                                    cpu_features().best_level()))};
+        return run_batch(tasks, k, cfg, src);
+      });
 }
 
 Status batch_entry(PackedRefs& refs, std::span<const PackedKnnTask> tasks,
                    int k, const KnnConfig& cfg,
                    std::uint64_t expected_epoch) {
-  int m_total = 0, n_total = 0;
-  packed_batch_totals(refs, tasks, m_total, n_total);
+  const auto totals = batch_totals(tasks, [&](const PackedKnnTask&) {
+    return static_cast<std::size_t>(refs.size());
+  });
   const int d = refs.built() ? refs.table()->dim() : 0;
   return core::record_entry_status(
-      metrics::EntryPoint::kBatch, m_total, n_total, d, k, [&] {
-        return knn_batch_packed_impl(refs, tasks, k, cfg, expected_epoch);
+      metrics::EntryPoint::kBatch, totals.first, totals.second, d, k, [&] {
+        if (!refs.built()) {
+          throw StatusError(Status::kInvalidArgument,
+                            "gsknn: PackedRefs::build() has not succeeded");
+        }
+        return run_batch(tasks, k, cfg, PackedSource(refs, expected_epoch));
       });
 }
 

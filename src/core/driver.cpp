@@ -35,7 +35,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "gsknn/common/fault.hpp"
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/metrics.hpp"
 #include "gsknn/common/telemetry.hpp"
@@ -249,32 +248,40 @@ void count_plan_events(const WorkspacePlan& ws, Variant requested, int m,
   }
 }
 
-/// Cold-path plan: resolve variant, micro-kernel and blocking, balance mc
-/// over the thread team, and run the workspace planner (which may demote
-/// Var#6 and retile nc/mc/dc under a cap — all bitwise-result-preserving,
-/// gsknn/core/workspace.hpp). Throws StatusError(kBadConfig) for blockings
-/// no micro-kernel matches.
+/// The tail both planners share, once kp.mk and kp.bp are settled: resolve
+/// the variant, balance mc over the thread team, and run the workspace
+/// planner (which may demote Var#6 and retile nc/mc/dc under a cap — all
+/// bitwise-result-preserving, gsknn/core/workspace.hpp). `packed_refs`
+/// keeps the cached block geometry (nc, dc) fixed.
 template <typename T>
-Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
-                   KernelPlanT<T>& kp) {
-  const Variant req_variant = resolve_variant(m, n, d, k, cfg);
-  const SimdLevel level = cpu_features().best_level();
+Status plan_workspace_for(int m, int n, int d, int k, const KnnConfig& cfg,
+                          bool packed_refs, KernelPlanT<T>& kp) {
+  kp.requested = resolve_variant(m, n, d, k, cfg);
   kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  resolve_kernel_and_blocking<T>(level, cfg, kp.mk, kp.bp, kp.chosen);
   kp.threads = resolve_threads(cfg.threads);
   kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
   kp.defer_possible = k >= kDeferMinK && defer_enabled();
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();
-  kp.requested = req_variant;
-  kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
+  kp.ws = plan_workspace(m, n, d, kp.requested, kp.bp, kp.mk.mr, kp.mk.nr,
                          kp.threads, kp.needs_norms, kp.defer_possible,
-                         batch_select_k(k, cfg), sizeof(T), cap);
+                         batch_select_k(k, cfg), sizeof(T), cap, packed_refs);
   if (!kp.ws.fits) return Status::kResourceExhausted;
   kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
   return Status::kOk;
+}
+
+/// Cold-path plan: select the micro-kernel and blocking for the best SIMD
+/// level, then the shared tail. Throws StatusError(kBadConfig) for
+/// blockings no micro-kernel matches.
+template <typename T>
+Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
+                   KernelPlanT<T>& kp) {
+  resolve_kernel_and_blocking<T>(cpu_features().best_level(), cfg, kp.mk,
+                                 kp.bp, kp.chosen);
+  return plan_workspace_for<T>(m, n, d, k, cfg, /*packed_refs=*/false, kp);
 }
 
 /// Warm-path plan: the pack geometry (nc, dc, nr, SIMD level) is pinned by
@@ -312,23 +319,7 @@ Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
     }
     kp.bp.mc = ob.mc;
   }
-  kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  kp.threads = resolve_threads(cfg.threads);
-  kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
-  kp.defer_possible = k >= kDeferMinK && defer_enabled();
-  const Variant req_variant = resolve_variant(m, n, d, k, cfg);
-  const std::size_t cap = cfg.max_workspace_bytes != 0
-                              ? cfg.max_workspace_bytes
-                              : max_workspace_env();
-  kp.requested = req_variant;
-  kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
-                         kp.threads, kp.needs_norms, kp.defer_possible,
-                         batch_select_k(k, cfg), sizeof(T), cap,
-                         /*packed_refs=*/true);
-  if (!kp.ws.fits) return Status::kResourceExhausted;
-  kp.variant = kp.ws.variant;
-  kp.bp = kp.ws.blocking;
-  return Status::kOk;
+  return plan_workspace_for<T>(m, n, d, k, cfg, /*packed_refs=*/true, kp);
 }
 
 // ---- pack phase (reference side) -------------------------------------------
@@ -505,17 +496,9 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   // never touched). One relaxed atomic load when fault injection is disarmed
   // and no token/deadline is set — `governed` keeps even that off the
   // common path.
-  const bool governed =
-      cfg.cancel != nullptr || cfg.deadline.has_value() || fault::active();
-  const auto poll_stop = [&]() {
-    Status s = Status::kOk;
-    if (fault::active() && fault::inject_cancel()) {
-      s = Status::kCancelled;
-    } else if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      s = Status::kCancelled;
-    } else if (cfg.deadline.has_value() && deadline_expired(*cfg.deadline)) {
-      s = Status::kDeadlineExceeded;
-    }
+  const bool governed = stop_governed(cfg);
+  const auto poll = [&]() {
+    const Status s = poll_stop(cfg);
     if (s != Status::kOk) {
       int expected = 0;
       if (stop.compare_exchange_strong(expected, static_cast<int>(s),
@@ -656,7 +639,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     for (int pc = 0; pc < d; pc += dc) {  // ---- 5th loop ----
       if (stop.load(std::memory_order_relaxed) != 0) break;
       if (governed) {
-        poll_stop();
+        poll();
         if (stop.load(std::memory_order_relaxed) != 0) break;
       }
       const int db = (d - pc < dc) ? d - pc : dc;
@@ -707,7 +690,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         // are atomic w.r.t. their rows, so no torn rows either way).
         if (stop.load(std::memory_order_relaxed) != 0) continue;
         if (governed) {
-          poll_stop();
+          poll();
           if (stop.load(std::memory_order_relaxed) != 0) continue;
         }
         // Exceptions must not escape the parallel region (that would
@@ -879,7 +862,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     if (variant == Variant::kVar5) {
       // Selection over the finished m × nc panel is all-or-nothing: poll
       // once before the region, never inside it, so a stop can't tear it.
-      if (governed && stop.load(std::memory_order_relaxed) == 0) poll_stop();
+      if (governed && stop.load(std::memory_order_relaxed) == 0) poll();
       if (stop.load(std::memory_order_relaxed) == 0) {
         select_region(rid + jc, nb, jc);
       }
@@ -888,7 +871,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   }  // 6th loop
 
   if (variant == Variant::kVar6 && stop.load(std::memory_order_relaxed) == 0) {
-    if (governed) poll_stop();
+    if (governed) poll();
     if (stop.load(std::memory_order_relaxed) == 0) select_region(rid, n, -1);
   }
 
@@ -1066,14 +1049,9 @@ Status kernel_entry(const PointTableT<T>& X, std::span<const int> qidx,
   const int k = result.k();
   const auto drift = [&](std::uint64_t t1, std::uint64_t ns) {
     if (m <= 0 || n <= 0 || d <= 0 || k <= 0) return;
-    const Variant v = resolve_variant(m, n, d, k, cfg);
-    static const model::MachineParams mp{};
-    const BlockingParams bp = cfg.blocking.value_or(
-        default_blocking(cpu_features().best_level()));
-    const model::ProblemShape shape{m, n, d, k};
-    const double predicted = model::predicted_time(
-        v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
-        shape, mp, bp);
+    const double predicted = predicted_call_seconds(
+        m, n, d, k, cfg,
+        cfg.blocking.value_or(default_blocking(cpu_features().best_level())));
     metrics::record_drift_at(t1, sizeof(T) == 4, predicted,
                              static_cast<double>(ns) * 1e-9);
   };
@@ -1105,6 +1083,19 @@ Status packed_kernel_entry(PackedRefsT<T>& refs, std::span<const int> qidx,
 
 }  // namespace
 }  // namespace core
+
+template <typename T>
+WorkspacePlan plan_knn_workspace(int m, int n, int d, int k,
+                                 const KnnConfig& cfg) {
+  core::KernelPlanT<T> kp;
+  core::plan_kernel<T>(m, n, d, k, cfg, kp);  // an unfit plan reports !fits
+  return kp.ws;
+}
+
+template WorkspacePlan plan_knn_workspace<double>(int, int, int, int,
+                                                  const KnnConfig&);
+template WorkspacePlan plan_knn_workspace<float>(int, int, int, int,
+                                                 const KnnConfig&);
 
 template <typename T>
 WorkspacePlan plan_knn_workspace(const PackedRefsT<T>& refs, int m, int k,

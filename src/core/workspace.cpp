@@ -8,7 +8,6 @@
 #include <cassert>
 #include <cstdlib>
 
-#include "gsknn/common/threads.hpp"
 #include "gsknn/common/workspace.hpp"
 #include "gsknn/core/workspace.hpp"
 #include "gsknn/select/batch_select.hpp"
@@ -237,32 +236,5 @@ WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
 }
 
 }  // namespace core
-
-template <typename T>
-WorkspacePlan plan_knn_workspace(int m, int n, int d, int k,
-                                 const KnnConfig& cfg) {
-  const Variant variant = resolve_variant(m, n, d, k, cfg);
-  const SimdLevel level = cpu_features().best_level();
-  core::MicroKernelT<T> mk;
-  BlockingParams bp;
-  SimdLevel chosen = level;
-  core::resolve_kernel_and_blocking<T>(level, cfg, mk, bp, chosen);
-  const int threads = resolve_threads(cfg.threads);
-  bp.mc = core::balanced_mc(m, bp.mc, mk.mr, threads);
-  const bool needs_norms =
-      (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  const bool defer_possible = k >= core::kDeferMinK && core::defer_enabled();
-  const std::size_t cap = cfg.max_workspace_bytes != 0
-                              ? cfg.max_workspace_bytes
-                              : max_workspace_env();
-  return core::plan_workspace(m, n, d, variant, bp, mk.mr, mk.nr, threads,
-                              needs_norms, defer_possible,
-                              core::batch_select_k(k, cfg), sizeof(T), cap);
-}
-
-template WorkspacePlan plan_knn_workspace<double>(int, int, int, int,
-                                                  const KnnConfig&);
-template WorkspacePlan plan_knn_workspace<float>(int, int, int, int,
-                                                 const KnnConfig&);
 
 }  // namespace gsknn

@@ -30,6 +30,7 @@
 #include "gsknn/common/fault.hpp"
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/metrics.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/packed_refs.hpp"
 #include "gsknn/model/perf_model.hpp"
 
@@ -835,15 +836,10 @@ SubmitResult Server::submit_ex(std::string_view refs, int query, int k,
     return fail(Status::kResourceExhausted);
   }
 
-  // §2.6 estimate for the scheduler (shape: one query against the set).
-  static const model::MachineParams mp{};
-  const BlockingParams bp =
-      r->blocking();  // the geometry the fused call will actually run
-  const model::ProblemShape shape{1, n, impl_->X->dim(), k};
-  const Variant v = resolve_variant(1, n, impl_->X->dim(), k, KnnConfig{});
-  const double est = model::predicted_time(
-      v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
-      shape, mp, bp);
+  // §2.6 estimate for the scheduler (shape: one query against the set),
+  // priced at the geometry the fused call will actually run.
+  const double est = core::predicted_call_seconds(1, n, impl_->X->dim(), k,
+                                                  KnnConfig{}, r->blocking());
 
   // Predictive admission: price the ticket against the lane's drain
   // forecast — queued work ahead of it (interactive always drains first,

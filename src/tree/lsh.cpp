@@ -88,12 +88,7 @@ AllNnResult lsh_impl(const PointTable& X, int k, const LshConfig& cfg) {
                                          static_cast<std::size_t>(hi - lo));
         if (cfg.backend == KernelBackend::kGemmBaseline) {
           // Baseline has no internal polling; govern at group granularity.
-          if (kcfg.cancel != nullptr && kcfg.cancel->cancelled()) {
-            out.status = Status::kCancelled;
-          } else if (kcfg.deadline.has_value() &&
-                     deadline_expired(*kcfg.deadline)) {
-            out.status = Status::kDeadlineExceeded;
-          }
+          out.status = core::poll_stop(kcfg);
           if (out.status != Status::kOk) break;
           knn_gemm_baseline(X, group, group, out.table, kcfg, group);
         } else {

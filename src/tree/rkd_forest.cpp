@@ -158,12 +158,7 @@ AllNnResult all_nn_impl(const PointTable& X, int k, const RkdConfig& cfg) {
         if (cfg.backend == KernelBackend::kGemmBaseline) {
           // The baseline has no internal polling; govern it at leaf
           // granularity here so a deadline still unwinds the solve cleanly.
-          if (kcfg.cancel != nullptr && kcfg.cancel->cancelled()) {
-            out.status = Status::kCancelled;
-          } else if (kcfg.deadline.has_value() &&
-                     deadline_expired(*kcfg.deadline)) {
-            out.status = Status::kDeadlineExceeded;
-          }
+          out.status = core::poll_stop(kcfg);
           if (out.status != Status::kOk) break;
           knn_gemm_baseline(X, leaf, leaf, out.table, kcfg, leaf);
         } else if (cached) {

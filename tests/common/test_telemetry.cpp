@@ -15,15 +15,18 @@
 // must hold to the last unit, for every variant, precision and thread count.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "gsknn/common/arch.hpp"
+#include "gsknn/common/threads.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/trace.hpp"
 #include "gsknn/core/knn.hpp"
+#include "gsknn/core/packed_refs.hpp"
 #include "gsknn/data/generators.hpp"
 #include "test_util.hpp"
 
@@ -415,6 +418,70 @@ TEST(Telemetry, ParallelRefsMergesWorkerProfiles) {
     EXPECT_EQ(prof.counter(Counter::kHeapPushes) +
                   prof.counter(Counter::kRootRejects),
               prof.counter(Counter::kCandidates));
+  }
+}
+
+// A batch profile is one record for the whole batch, in both task forms:
+// the batch's own wall and thread count, one invocation per task kernel,
+// and work counters equal to those of the same task kernels run one by one.
+TEST(Telemetry, BatchMergesTaskProfiles) {
+  const int d = 12, k = 4;
+  const PointTable X = make_uniform(d, 300, 0xBA7);
+  const auto r = iota_ids(200, 100);
+  std::vector<std::vector<int>> qs;
+  for (int g = 0, lo = 0; g < 4; lo += 10 * (g + 1), ++g) {
+    qs.push_back(iota_ids(10 * (g + 1), lo));
+  }
+  PackedRefs refs;
+  ASSERT_EQ(refs.build(X, r), Status::kOk);
+  // Panels pack on first use: warm them so the batch and the one-by-one
+  // replay both read resident panels (zero reference bytes packed).
+  NeighborTable warmup(static_cast<int>(qs[0].size()), k);
+  knn_kernel(refs, qs[0], warmup, {});
+
+  for (const bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "packed" : "cold");
+    KernelProfile prof;
+    KnnConfig cfg;
+    cfg.threads = 3;
+    cfg.profile = &prof;
+    NeighborTable t(100, k);
+    std::vector<KnnTask> cold;
+    std::vector<PackedKnnTask> warm;
+    for (const auto& q : qs) {
+      cold.push_back(KnnTask{q, r, &t, q});
+      warm.push_back(PackedKnnTask{q, &t, q});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const Status s = packed ? knn_batch_status(refs, warm, k, cfg)
+                            : knn_batch_status(X, cold, k, cfg);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    ASSERT_EQ(s, Status::kOk);
+
+    KernelProfile serial;
+    KnnConfig one;
+    one.threads = 1;
+    one.profile = &serial;
+    NeighborTable t2(100, k);
+    for (const auto& q : qs) {
+      if (packed) {
+        knn_kernel(refs, q, t2, one, q);
+      } else {
+        knn_kernel(X, q, r, t2, one, q);
+      }
+    }
+
+    EXPECT_STREQ(prof.algorithm, "gsknn_batch");
+    EXPECT_EQ(prof.threads, resolve_threads(cfg.threads));
+    EXPECT_EQ(prof.invocations, qs.size());
+    EXPECT_GT(prof.wall_seconds, 0.0);
+    EXPECT_LE(prof.wall_seconds, elapsed);
+    for (int c = 0; c < telemetry::kCounterCount; ++c) {
+      EXPECT_EQ(prof.counters[c], serial.counters[c])
+          << telemetry::counter_name(static_cast<Counter>(c));
+    }
   }
 }
 

@@ -1,8 +1,11 @@
 // Task-parallel batch driver (§2.5): batching must be an execution-order
-// detail, invisible in the results.
+// detail, invisible in the results. The scheduler cases (overlap rejection,
+// team folding, deadline skips) run over both task forms: cold KnnTasks and
+// PackedKnnTasks on one PackedRefs cache (test_cancel covers cancel skips).
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #if defined(_OPENMP)
@@ -10,11 +13,57 @@
 #endif
 
 #include "gsknn/core/knn.hpp"
+#include "gsknn/core/packed_refs.hpp"
 #include "gsknn/data/generators.hpp"
 #include "test_util.hpp"
 
 namespace gsknn {
 namespace {
+
+enum class Form { kCold, kPacked };
+constexpr Form kForms[] = {Form::kCold, Form::kPacked};
+
+const char* form_name(Form f) { return f == Form::kCold ? "cold" : "packed"; }
+
+/// One batch whose tasks all search the same references `r`: as cold
+/// KnnTasks over `r`, or as PackedKnnTasks over a PackedRefs cache of `r`.
+class SharedRefBatch {
+ public:
+  SharedRefBatch(const PointTable& X, std::vector<int> r)
+      : X_(X), r_(std::move(r)) {
+    EXPECT_EQ(refs_.build(X_, r_), Status::kOk);
+  }
+
+  /// A task querying `q` into rows `rows` (empty: rows [0, m)) of `table`.
+  void add(std::vector<int> q, NeighborTable* table,
+           std::vector<int> rows = {}) {
+    qs_.push_back(std::move(q));
+    rows_.push_back(std::move(rows));
+    tables_.push_back(table);
+  }
+
+  Status run(Form form, int k, const KnnConfig& cfg) {
+    if (form == Form::kCold) {
+      std::vector<KnnTask> tasks;
+      for (std::size_t g = 0; g < qs_.size(); ++g) {
+        tasks.push_back(KnnTask{qs_[g], r_, tables_[g], rows_[g]});
+      }
+      return knn_batch_status(X_, tasks, k, cfg);
+    }
+    std::vector<PackedKnnTask> tasks;
+    for (std::size_t g = 0; g < qs_.size(); ++g) {
+      tasks.push_back(PackedKnnTask{qs_[g], tables_[g], rows_[g]});
+    }
+    return knn_batch_status(refs_, tasks, k, cfg);
+  }
+
+ private:
+  const PointTable& X_;
+  std::vector<int> r_;
+  PackedRefs refs_;
+  std::vector<std::vector<int>> qs_, rows_;
+  std::vector<NeighborTable*> tables_;
+};
 
 TEST(KnnBatch, MatchesIndividualKernels) {
   const int d = 10, N = 400, k = 5;
@@ -115,12 +164,24 @@ TEST(KnnBatch, ManyTinyTasks) {
 // task has run.
 TEST(KnnBatch, OverlappingRowsOfSharedTableRejected) {
   const PointTable X = make_uniform(4, 40, 7);
-  std::vector<int> q1 = {0, 1}, q2 = {2, 3};
   std::vector<int> r(20);
   std::iota(r.begin(), r.end(), 10);
+  for (const Form form : kForms) {
+    SCOPED_TRACE(form_name(form));
+    NeighborTable t(4, 3);
+    SharedRefBatch batch(X, r);
+    batch.add({0, 1}, &t, {0, 1});
+    batch.add({2, 3}, &t, {1, 2});  // row 1 collides with task 1
+    EXPECT_EQ(batch.run(form, 3, {}), Status::kInvalidArgument);
+    // Rejected up front: no task ran, the table is untouched.
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(t.sorted_row(i).empty()) << "row " << i;
+    }
+  }
+  // The throwing face reports the same rejection.
   NeighborTable t(4, 3);
-  const std::vector<int> rows1 = {0, 1};
-  const std::vector<int> rows2 = {1, 2};  // row 1 collides with task 1
+  const std::vector<int> q1 = {0, 1}, q2 = {2, 3}, rows1 = {0, 1},
+                         rows2 = {1, 2};
   const std::vector<KnnTask> tasks = {KnnTask{q1, r, &t, rows1},
                                       KnnTask{q2, r, &t, rows2}};
   try {
@@ -129,24 +190,22 @@ TEST(KnnBatch, OverlappingRowsOfSharedTableRejected) {
   } catch (const StatusError& e) {
     EXPECT_EQ(e.status(), Status::kInvalidArgument);
   }
-  // Rejected up front: no task ran, the table is untouched.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(t.sorted_row(i).empty()) << "row " << i;
-  }
 }
 
 // The implicit row range (empty result_rows = rows [0, m)) participates in
 // the same overlap check.
 TEST(KnnBatch, ImplicitRowsOverlapRejected) {
   const PointTable X = make_uniform(4, 40, 8);
-  std::vector<int> q1 = {0, 1, 2}, q2 = {3, 4};
   std::vector<int> r(20);
   std::iota(r.begin(), r.end(), 10);
-  NeighborTable t(5, 3);
-  const std::vector<int> rows2 = {2, 3};  // row 2 collides with implicit 0..2
-  const std::vector<KnnTask> tasks = {KnnTask{q1, r, &t, {}},
-                                      KnnTask{q2, r, &t, rows2}};
-  EXPECT_THROW(knn_batch(X, tasks, 3, {}), StatusError);
+  for (const Form form : kForms) {
+    SCOPED_TRACE(form_name(form));
+    NeighborTable t(5, 3);
+    SharedRefBatch batch(X, r);
+    batch.add({0, 1, 2}, &t);
+    batch.add({3, 4}, &t, {2, 3});  // row 2 collides with implicit 0..2
+    EXPECT_EQ(batch.run(form, 3, {}), Status::kInvalidArgument);
+  }
 }
 
 // Disjoint-row sharing — the tree solvers' global-table pattern — must keep
@@ -185,49 +244,42 @@ TEST(KnnBatch, DisjointRowsAndSeparateTablesStillLegal) {
 TEST(KnnBatch, ShrunkenTeamStillRunsEveryTask) {
   const int N = 240, k = 3;
   const PointTable X = make_uniform(6, N, 0xA11);
-  std::vector<std::vector<int>> qs, rs;
+  std::vector<std::vector<int>> qs;
+  std::vector<int> r;
   for (int g = 0; g < 8; ++g) {
-    std::vector<int> q = {g * 30, g * 30 + 1, g * 30 + 2};
-    std::vector<int> r;
+    qs.push_back({g * 30, g * 30 + 1, g * 30 + 2});
     for (int i = 3; i < 30; ++i) r.push_back(g * 30 + i);
-    qs.push_back(q);
-    rs.push_back(r);
   }
-  NeighborTable t(N, k);
-  std::vector<KnnTask> tasks;
-  for (int g = 0; g < 8; ++g) {
-    tasks.push_back(KnnTask{qs[static_cast<std::size_t>(g)],
-                            rs[static_cast<std::size_t>(g)], &t,
-                            qs[static_cast<std::size_t>(g)]});
-  }
+  for (const Form form : kForms) {
+    SCOPED_TRACE(form_name(form));
+    NeighborTable t(N, k);
+    SharedRefBatch batch(X, r);
+    for (const auto& q : qs) batch.add(q, &t, q);
 
-  const int saved_levels = omp_get_max_active_levels();
-  omp_set_max_active_levels(1);  // nested region below gets a team of 1
-  KnnConfig cfg;
-  cfg.threads = 4;  // LPT schedules for 4 workers; only 1 will materialize
-  Status s = Status::kInternal;
+    const int saved_levels = omp_get_max_active_levels();
+    omp_set_max_active_levels(1);  // nested region below gets a team of 1
+    KnnConfig cfg;
+    cfg.threads = 4;  // LPT schedules for 4 workers; only 1 will materialize
+    Status s = Status::kInternal;
 #pragma omp parallel num_threads(2)
-  {
+    {
 #pragma omp single
-    { s = knn_batch_status(X, tasks, k, cfg); }
-  }
-  omp_set_max_active_levels(saved_levels);
-
-  ASSERT_EQ(s, Status::kOk);
-  for (int g = 0; g < 8; ++g) {
-    for (const int q : qs[static_cast<std::size_t>(g)]) {
-      EXPECT_TRUE(t.row_complete(q)) << "row " << q;
-      EXPECT_EQ(t.sorted_row(q).size(), static_cast<std::size_t>(k))
-          << "row " << q;
+      { s = batch.run(form, k, cfg); }
     }
-    const auto expect = test::brute_force_knn(
-        X, qs[static_cast<std::size_t>(g)], rs[static_cast<std::size_t>(g)],
-        k);
-    for (std::size_t i = 0; i < qs[static_cast<std::size_t>(g)].size(); ++i) {
-      const auto row = t.sorted_row(qs[static_cast<std::size_t>(g)][i]);
-      for (std::size_t j = 0; j < row.size(); ++j) {
-        EXPECT_NEAR(row[j].first, expect[i][j].first, 1e-9)
-            << "group " << g << " row " << i;
+    omp_set_max_active_levels(saved_levels);
+
+    ASSERT_EQ(s, Status::kOk);
+    for (std::size_t g = 0; g < qs.size(); ++g) {
+      const auto expect = test::brute_force_knn(X, qs[g], r, k);
+      for (std::size_t i = 0; i < qs[g].size(); ++i) {
+        EXPECT_TRUE(t.row_complete(qs[g][i])) << "row " << qs[g][i];
+        const auto row = t.sorted_row(qs[g][i]);
+        ASSERT_EQ(row.size(), static_cast<std::size_t>(k))
+            << "row " << qs[g][i];
+        for (std::size_t j = 0; j < row.size(); ++j) {
+          EXPECT_NEAR(row[j].first, expect[i][j].first, 1e-9)
+              << "group " << g << " row " << i;
+        }
       }
     }
   }
@@ -240,39 +292,36 @@ TEST(KnnBatch, ShrunkenTeamStillRunsEveryTask) {
 TEST(KnnBatch, ExpiredDeadlineFlagsTasksOfAbsentWorkers) {
   const int N = 160, k = 3;
   const PointTable X = make_uniform(5, N, 0xA12);
-  std::vector<std::vector<int>> qs, rs;
+  std::vector<std::vector<int>> qs;
+  std::vector<int> r;
   for (int g = 0; g < 8; ++g) {
-    std::vector<int> q = {g * 20, g * 20 + 1};
-    std::vector<int> r;
+    qs.push_back({g * 20, g * 20 + 1});
     for (int i = 2; i < 20; ++i) r.push_back(g * 20 + i);
-    qs.push_back(q);
-    rs.push_back(r);
   }
-  NeighborTable t(N, k);
-  std::vector<KnnTask> tasks;
-  for (int g = 0; g < 8; ++g) {
-    tasks.push_back(KnnTask{qs[static_cast<std::size_t>(g)],
-                            rs[static_cast<std::size_t>(g)], &t,
-                            qs[static_cast<std::size_t>(g)]});
-  }
+  for (const Form form : kForms) {
+    SCOPED_TRACE(form_name(form));
+    NeighborTable t(N, k);
+    SharedRefBatch batch(X, r);
+    for (const auto& q : qs) batch.add(q, &t, q);
 
-  const int saved_levels = omp_get_max_active_levels();
-  omp_set_max_active_levels(1);
-  KnnConfig cfg;
-  cfg.threads = 4;
-  cfg.deadline = deadline_after_ms(0);  // expired before any task starts
-  Status s = Status::kInternal;
+    const int saved_levels = omp_get_max_active_levels();
+    omp_set_max_active_levels(1);
+    KnnConfig cfg;
+    cfg.threads = 4;
+    cfg.deadline = deadline_after_ms(0);  // expired before any task starts
+    Status s = Status::kInternal;
 #pragma omp parallel num_threads(2)
-  {
+    {
 #pragma omp single
-    { s = knn_batch_status(X, tasks, k, cfg); }
-  }
-  omp_set_max_active_levels(saved_levels);
+      { s = batch.run(form, k, cfg); }
+    }
+    omp_set_max_active_levels(saved_levels);
 
-  ASSERT_EQ(s, Status::kDeadlineExceeded);
-  for (int g = 0; g < 8; ++g) {
-    for (const int q : qs[static_cast<std::size_t>(g)]) {
-      EXPECT_FALSE(t.row_complete(q)) << "row " << q;
+    ASSERT_EQ(s, Status::kDeadlineExceeded);
+    for (const auto& q : qs) {
+      for (const int row : q) {
+        EXPECT_FALSE(t.row_complete(row)) << "row " << row;
+      }
     }
   }
 }

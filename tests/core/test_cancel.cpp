@@ -10,6 +10,7 @@
 #include "gsknn/common/cancel.hpp"
 #include "gsknn/common/fault.hpp"
 #include "gsknn/core/knn.hpp"
+#include "gsknn/core/packed_refs.hpp"
 #include "gsknn/data/generators.hpp"
 #include "gsknn/tree/lsh.hpp"
 #include "gsknn/tree/rkd_forest.hpp"
@@ -242,30 +243,35 @@ TEST_F(CancelTest, ParallelRefsSkipsMergeOnCancel) {
 }
 
 // A cancelled batch finishes nothing new: started tasks stop at block
-// granularity, pending tasks are skipped with their rows flagged.
+// granularity, pending tasks are skipped with their rows flagged. Both task
+// forms: cold tasks, and packed tasks on one cache of the same references.
 TEST_F(CancelTest, BatchSkipsPendingTasksOnCancel) {
   const PointTable X = make_uniform(6, 90, 0xCB);
   const auto r = iota_ids(60, 30);
-  std::vector<std::vector<int>> qs, rows;
-  for (int g = 0; g < 3; ++g) {
-    qs.push_back(iota_ids(10, g * 10));
-    rows.push_back(iota_ids(10, g * 10));
-  }
-  NeighborTable t(30, 3);
-  std::vector<KnnTask> tasks;
-  for (int g = 0; g < 3; ++g) {
-    tasks.push_back(
-        KnnTask{qs[static_cast<std::size_t>(g)], r, &t,
-                rows[static_cast<std::size_t>(g)]});
-  }
+  PackedRefs refs;
+  ASSERT_EQ(refs.build(X, r), Status::kOk);
+  std::vector<std::vector<int>> qs;
+  for (int g = 0; g < 3; ++g) qs.push_back(iota_ids(10, g * 10));
   CancelToken token;
   token.cancel();
   KnnConfig cfg;
   cfg.cancel = &token;
-  EXPECT_EQ(knn_batch_status(X, tasks, 3, cfg), Status::kCancelled);
-  for (int i = 0; i < 30; ++i) {
-    EXPECT_FALSE(t.row_complete(i)) << "row " << i;
-    EXPECT_TRUE(t.sorted_row(i).empty()) << "row " << i;
+  for (const bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "packed" : "cold");
+    NeighborTable t(30, 3);
+    std::vector<KnnTask> cold;
+    std::vector<PackedKnnTask> warm;
+    for (const auto& q : qs) {
+      cold.push_back(KnnTask{q, r, &t, q});
+      warm.push_back(PackedKnnTask{q, &t, q});
+    }
+    EXPECT_EQ(packed ? knn_batch_status(refs, warm, 3, cfg)
+                     : knn_batch_status(X, cold, 3, cfg),
+              Status::kCancelled);
+    for (int i = 0; i < 30; ++i) {
+      EXPECT_FALSE(t.row_complete(i)) << "row " << i;
+      EXPECT_TRUE(t.sorted_row(i).empty()) << "row " << i;
+    }
   }
 }
 

@@ -291,6 +291,27 @@ TEST(PackedRefs, BatchMatchesSerialWarmCalls) {
   EXPECT_EQ(knn_batch_status(refs, tasks, k, {}, 0), Status::kStale);
 }
 
+// Validation precedes the batch-level epoch handshake, as in a single warm
+// call: a batch that is both malformed (overlapping rows) and stale reports
+// kInvalidArgument, and touches nothing.
+TEST(PackedRefs, MalformedStaleBatchReportsInvalidArgument) {
+  const int n = 60, k = 3;
+  const PointTable X = make_uniform(6, n, 7);
+  PackedRefs refs;
+  ASSERT_EQ(refs.build(X, iota_ids(n - 1)), Status::kOk);
+  const std::vector<int> last = {n - 1};
+  ASSERT_EQ(refs.insert(last), Status::kOk);  // epoch 0 is now stale
+
+  NeighborTable t(4, k);
+  const std::vector<int> q1 = {0, 1}, q2 = {2, 3};
+  const std::vector<int> rows1 = {0, 1}, rows2 = {1, 2};  // row 1 twice
+  const std::vector<PackedKnnTask> tasks = {PackedKnnTask{q1, &t, rows1},
+                                            PackedKnnTask{q2, &t, rows2}};
+  EXPECT_EQ(knn_batch_status(refs, tasks, k, {}, 0),
+            Status::kInvalidArgument);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(t.sorted_row(i).empty());
+}
+
 // Regression (lease TOCTOU): an insert()/erase() racing a warm call used to
 // slip between the call's entry epoch check and its block pins — the pins
 // did not re-validate, so the kernel could compute over a just-repacked
